@@ -74,9 +74,3 @@ def mix_scene(
     gain = np.sqrt(p_t / (p_i * 10.0 ** (snr_db / 10.0)))
     return target + gain * fitted
 
-
-def mixture_for_scene(scene, seed: int = 0) -> np.ndarray:
-    """The noisy input waveform for a Scene, deterministic per seed."""
-    return mix_scene(
-        scene.target, scene.interferer, scene.snr_db, seed=seed, sample_rate_hz=scene.sample_rate_hz
-    )

@@ -14,9 +14,11 @@ import numpy as np
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.model.network import (
+    _fold,
     encode_audio_fwd,
     fuse_fwd,
     pad_to_hop,
+    segment_time,
     separator_forward_fwd,
     visual_forward_fwd,
 )
@@ -58,29 +60,18 @@ def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig):
     return dec_out[0][:t], cache
 
 
-def _norm_frames_bwd(x, groups, gamma, beta, g):
-    """Backward of per-frame group normalization on [C, F, H, W].
-
-    Mirrors the forward's frames-as-groups folding; per-channel
-    cotangents sum over the frame axis.
-    """
-    c, f, h, w = x.shape
-    flat = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(f * c, h * w)
-    g_flat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f * c, h * w)
-    gx_flat, gg, gb = group_norm_vjp(
-        flat, f * groups, np.tile(gamma, f), np.tile(beta, f), g_flat
-    )
-    gx = np.ascontiguousarray(gx_flat.reshape(f, c, h, w).transpose(1, 0, 2, 3))
-    return gx, gg.reshape(f, c).sum(axis=0), gb.reshape(f, c).sum(axis=0)
-
-
 def _trunk_block_bwd(cache, params, config, g_out, grads):
     base = cache["base"]
     s = cache["stride"]
-    groups = config.vfn_norm_groups
+    groups = config.vfn_norm_groups  # norms keep the frame axis of [C, F, H, W]
     g_total = g_out * (cache["total"] > 0)
-    g_pre2, ggamma, gbeta = _norm_frames_bwd(
-        cache["pre2"], groups, params[f"{base}.gn2.gamma"], params[f"{base}.gn2.beta"], g_total
+    g_pre2, ggamma, gbeta = group_norm_vjp(
+        cache["pre2"],
+        groups,
+        params[f"{base}.gn2.gamma"],
+        params[f"{base}.gn2.beta"],
+        g_total,
+        keep_axes=(1,),
     )
     grads[f"{base}.gn2.gamma"] += ggamma
     grads[f"{base}.gn2.beta"] += gbeta
@@ -89,8 +80,13 @@ def _trunk_block_bwd(cache, params, config, g_out, grads):
     )
     grads[f"{base}.conv2.w"] += gw2
     g_n1 = g_h1 * (cache["n1"] > 0)
-    g_pre1, ggamma, gbeta = _norm_frames_bwd(
-        cache["pre1"], groups, params[f"{base}.gn1.gamma"], params[f"{base}.gn1.beta"], g_n1
+    g_pre1, ggamma, gbeta = group_norm_vjp(
+        cache["pre1"],
+        groups,
+        params[f"{base}.gn1.gamma"],
+        params[f"{base}.gn1.beta"],
+        g_n1,
+        keep_axes=(1,),
     )
     grads[f"{base}.gn1.gamma"] += ggamma
     grads[f"{base}.gn1.beta"] += gbeta
@@ -99,12 +95,13 @@ def _trunk_block_bwd(cache, params, config, g_out, grads):
     )
     grads[f"{base}.conv1.w"] += gw1
     if s != 1:
-        g_pre_sc, ggamma, gbeta = _norm_frames_bwd(
+        g_pre_sc, ggamma, gbeta = group_norm_vjp(
             cache["pre_sc"],
             groups,
             params[f"{base}.proj_gn.gamma"],
             params[f"{base}.proj_gn.beta"],
             g_total,
+            keep_axes=(1,),
         )
         grads[f"{base}.proj_gn.gamma"] += ggamma
         grads[f"{base}.proj_gn.beta"] += gbeta
@@ -140,15 +137,16 @@ def _visual_bwd(cache, params, config, g_v, grads):
 
 def _sep_path_bwd(cache, params, g_out, grads):
     base = cache["base"]
-    proj = cache["proj"]
-    q, p, c = proj.shape
-    g_flat = np.ascontiguousarray(g_out.transpose(2, 0, 1)).reshape(c, q * p)
     g_norm_in, ggamma, gbeta = group_norm_vjp(
-        cache["flat"], 1, params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"], g_flat
+        np.moveaxis(cache["proj"], -1, 0),
+        1,
+        params[f"{base}.gn.gamma"],
+        params[f"{base}.gn.beta"],
+        np.moveaxis(g_out, -1, 0),
     )
     grads[f"{base}.gn.gamma"] += ggamma
     grads[f"{base}.gn.beta"] += gbeta
-    g_proj = g_norm_in.reshape(c, q, p).transpose(1, 2, 0)
+    g_proj = np.moveaxis(g_norm_in, 0, -1)
     g_y, gw, gb = linear_vjp(
         cache["y"], params[f"{base}.proj.w"], params[f"{base}.proj.b"], g_proj
     )
@@ -163,44 +161,23 @@ def _sep_path_bwd(cache, params, g_out, grads):
     return g_x + g_out
 
 
-def _overlap_add_vjp(g, q, chunk, hop):
-    c, t_out = g.shape
-    t_pad = (q - 1) * hop + chunk
-    gp = np.zeros((c, t_pad), dtype=g.dtype)
-    gp[:, :t_out] = g
-    counts = np.zeros(t_pad, dtype=g.dtype)
-    for qi in range(q):
-        counts[qi * hop : qi * hop + chunk] += 1
-    gp = gp / counts
-    g_chunks = np.empty((q, chunk, c), dtype=g.dtype)
-    for qi in range(q):
-        g_chunks[qi] = gp[:, qi * hop : qi * hop + chunk].T
-    return g_chunks
-
-
-def _segment_vjp(g_chunks, hop, t_out):
-    q, chunk, c = g_chunks.shape
-    t_pad = (q - 1) * hop + chunk
-    gp = np.zeros((c, t_pad), dtype=g_chunks.dtype)
-    for qi in range(q):
-        gp[:, qi * hop : qi * hop + chunk] += g_chunks[qi].T
-    return gp[:, :t_out]
-
-
 def _separator_bwd(cache, params, config, g_mask, grads):
     mask = cache["mask"]
     g_pre = g_mask * mask * (1.0 - mask)
     g_mask_in, gw, gb = conv1d_vjp(cache["mask_in"], params["mask.w"], params["mask.b"], g_pre)
     grads["mask.w"] += gw
     grads["mask.b"] += gb
-    q = cache["chunks"].shape[0]
-    g_chunks = _overlap_add_vjp(g_mask_in, q, config.chunk_len, config.chunk_hop)
+    # Adjoint of overlap_add: halve the twice-covered positions, then segment.
+    hop = config.chunk_hop
+    g_mask_in[:, hop : cache["chunks"].shape[0] * hop] /= 2
+    g_chunks = segment_time(g_mask_in, config.chunk_len, hop)
     for unit in reversed(cache["units"]):
         g_inter_out = np.ascontiguousarray(g_chunks.transpose(1, 0, 2))
         g_swapped = _sep_path_bwd(unit["inter"], params, g_inter_out, grads)
         g_intra_out = np.ascontiguousarray(g_swapped.transpose(1, 0, 2))
         g_chunks = _sep_path_bwd(unit["intra"], params, g_intra_out, grads)
-    return _segment_vjp(g_chunks, config.chunk_hop, cache["t_a"])
+    # Adjoint of segment_time: sum the overlapping halves, drop the padding.
+    return _fold(g_chunks)[:, : cache["t_a"]]
 
 
 def _fuse_bwd(cache, params, config, g_f, grads):

@@ -15,14 +15,12 @@ cache.  Gradients live in ``avse.model.grad``.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from avse.errors import EmptySequenceError, InputTooShortError, ShapeError
+from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams, _trunk_stages
 from avse.ops import (
     activation,
-    bilstm_layer,  # noqa: F401  (re-exported for callers composing custom paths)
     conv1d,
     conv3d,
     conv_transpose1d,
@@ -51,38 +49,27 @@ def encode_audio_fwd(wave, params, config):
     return activation("relu", pre), {"wave": wave, "pre": pre}
 
 
-def _norm_frames(x, groups, gamma, beta):
-    """Group-normalize [C, F, H, W] independently per frame.
-
-    All frames go through one group_norm call by treating each frame's
-    channel groups as distinct groups of a [F*C, H*W] matrix; the pooled
-    elements per group are identical to normalizing frame by frame.
-    """
-    c, f, h, w = x.shape
-    flat = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(f * c, h * w)
-    out = group_norm(flat, f * groups, np.tile(gamma, f), np.tile(beta, f))
-    return np.ascontiguousarray(out.reshape(f, c, h, w).transpose(1, 0, 2, 3))
-
-
 def _trunk_block_fwd(x, params, base, stride, config):
     """One residual block; downsampling blocks carry a projection shortcut."""
     s = stride
+    groups = config.vfn_norm_groups  # norms keep the frame axis of [C, F, H, W]
     pre1 = conv3d(x, params[f"{base}.conv1.w"], None, stride=(1, s, s), pad=(0, 1, 1))
-    n1 = _norm_frames(
-        pre1, config.vfn_norm_groups, params[f"{base}.gn1.gamma"], params[f"{base}.gn1.beta"]
+    n1 = group_norm(
+        pre1, groups, params[f"{base}.gn1.gamma"], params[f"{base}.gn1.beta"], keep_axes=(1,)
     )
     h1 = activation("relu", n1)
     pre2 = conv3d(h1, params[f"{base}.conv2.w"], None, stride=(1, 1, 1), pad=(0, 1, 1))
-    n2 = _norm_frames(
-        pre2, config.vfn_norm_groups, params[f"{base}.gn2.gamma"], params[f"{base}.gn2.beta"]
+    n2 = group_norm(
+        pre2, groups, params[f"{base}.gn2.gamma"], params[f"{base}.gn2.beta"], keep_axes=(1,)
     )
     if s != 1:
         pre_sc = conv3d(x, params[f"{base}.proj.w"], None, stride=(1, s, s), pad=0)
-        sc = _norm_frames(
+        sc = group_norm(
             pre_sc,
-            config.vfn_norm_groups,
+            groups,
             params[f"{base}.proj_gn.gamma"],
             params[f"{base}.proj_gn.beta"],
+            keep_axes=(1,),
         )
     else:
         pre_sc = None
@@ -159,36 +146,50 @@ def fuse_fwd(a, v, params, config):
     return activation("relu", pre), {"v": v, "t_a": t_a, "cat": cat, "pre": pre}
 
 
+def _check_half_hop(chunk: int, hop: int) -> None:
+    if chunk != 2 * hop:
+        raise ConfigError(f"chunk length {chunk} must be twice the hop {hop}")
+
+
 def segment_time(x: np.ndarray, chunk: int, hop: int) -> np.ndarray:
-    """Slice [C, T] into overlapping chunks [Q, chunk, C], zero-padding the tail."""
+    """Slice [C, T] into chunks [Q, chunk, C] that overlap by exactly half a
+    chunk (chunk == 2 * hop), zero-padding the tail."""
+    _check_half_hop(chunk, hop)
     if x.ndim != 2:
         raise ShapeError(f"expected [C, T], got shape {x.shape}")
     c, t = x.shape
     if t < 1:
         raise ShapeError("cannot segment an empty time axis")
-    q = 1 if t <= chunk else -(-(t - chunk) // hop) + 1
-    t_pad = (q - 1) * hop + chunk
-    if t_pad > t:
-        x = np.pad(x, ((0, 0), (0, t_pad - t)))
-    windows = sliding_window_view(x, chunk, axis=1)[:, ::hop]  # [C, Q, chunk]
-    return np.ascontiguousarray(windows.transpose(1, 2, 0))
+    q = max(1, -(-t // hop) - 1)  # fewest chunks whose Q + 1 halves cover T
+    halves = np.zeros(((q + 1) * hop, c), dtype=x.dtype)
+    halves[:t] = x.T
+    halves = halves.reshape(q + 1, hop, c)
+    return np.concatenate([halves[:-1], halves[1:]], axis=1)
+
+
+def _fold(chunks: np.ndarray) -> np.ndarray:
+    """Sum half-overlapping chunks [Q, 2 * hop, C] into [C, (Q + 1) * hop]."""
+    q, chunk, c = chunks.shape
+    hop = chunk // 2
+    acc = np.zeros((c, q + 1, hop), dtype=chunks.dtype)
+    acc[:, :-1] += chunks[:, :hop].transpose(2, 0, 1)
+    acc[:, 1:] += chunks[:, hop:].transpose(2, 0, 1)
+    return acc.reshape(c, (q + 1) * hop)
 
 
 def overlap_add(chunks: np.ndarray, hop: int, t_out: int) -> np.ndarray:
     """Invert segment_time by averaging overlapped positions; exact when all
-    chunks agree (counts are 1 or 2 at half-chunk hop, and 2x/2 == x)."""
+    chunks agree (each position is covered once or twice, and 2x/2 == x)."""
     if chunks.ndim != 3:
         raise ShapeError(f"expected [Q, chunk, C], got shape {chunks.shape}")
-    q, chunk, c = chunks.shape
-    t_pad = (q - 1) * hop + chunk
+    q, chunk, _ = chunks.shape
+    _check_half_hop(chunk, hop)
+    t_pad = (q + 1) * hop
     if t_out > t_pad:
         raise ShapeError(f"target length {t_out} exceeds padded extent {t_pad}")
-    acc = np.zeros((c, t_pad), dtype=chunks.dtype)
-    counts = np.zeros(t_pad, dtype=chunks.dtype)
-    for qi in range(q):
-        acc[:, qi * hop : qi * hop + chunk] += chunks[qi].T
-        counts[qi * hop : qi * hop + chunk] += 1
-    return (acc / counts)[:, :t_out]
+    acc = _fold(chunks)
+    acc[:, hop : q * hop] /= 2
+    return acc[:, :t_out]
 
 
 def _unit_lstm(params: ModelParams, base: str) -> LstmParams:
@@ -200,25 +201,19 @@ def _unit_lstm(params: ModelParams, base: str) -> LstmParams:
     )
 
 
-def _gn_chunks_fwd(y, gamma, beta):
-    """Layer-normalize chunked features [Q, P, C] over everything per channel."""
-    q, p, c = y.shape
-    flat = np.ascontiguousarray(y.transpose(2, 0, 1)).reshape(c, q * p)
-    out = group_norm(flat, 1, gamma, beta)
-    return np.ascontiguousarray(out.reshape(c, q, p).transpose(1, 2, 0)), flat
-
-
 def _sep_path_fwd(x, params, base, keep_cache=True):
     """One dual-path half: BiLSTM over axis 1 of [B, T, C], projection,
     chunk-wide norm, residual.  Caller transposes to pick the axis."""
     lstm = _unit_lstm(params, base)
     y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache)
     proj = linear(y, params[f"{base}.proj.w"], params[f"{base}.proj.b"])
-    normed, flat = _gn_chunks_fwd(proj, params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"])
-    out = x + normed
+    # Layer norm per channel over every chunk position: [C, Q, P] views.
+    gamma, beta = params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"]
+    normed = group_norm(np.moveaxis(proj, -1, 0), 1, gamma, beta)
+    out = x + np.moveaxis(normed, 0, -1)
     if not keep_cache:
         return out, None
-    cache = {"x": x, "lstm_cache": lstm_cache, "y": y, "proj": proj, "flat": flat, "base": base}
+    cache = {"x": x, "lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base}
     return out, cache
 
 

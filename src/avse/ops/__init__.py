@@ -17,7 +17,6 @@ from avse.ops.conv import (
     conv_transpose1d_vjp,
 )
 from avse.ops.dense import (
-    GroupNormParams,
     activation,
     activation_vjp,
     group_norm,
@@ -48,7 +47,6 @@ __all__ = [
     "group_norm_vjp",
     "resize_linear_time",
     "resize_linear_time_vjp",
-    "GroupNormParams",
     "LstmParams",
     "bilstm_layer",
     "bilstm_layer_vjp",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from avse.errors import ConfigError, ShapeError
@@ -73,26 +71,46 @@ def activation_vjp(kind: str, x: np.ndarray, gy: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
 
 
-@dataclass
-class GroupNormParams:
-    """Per-channel scale and shift for group normalization."""
+def _to_groups(x: np.ndarray, groups: int, keep_axes: tuple[int, ...]) -> np.ndarray:
+    """[C, ...] -> [*kept, groups, pooled]: the kept axes lead, and each
+    group's pooled elements lie contiguous on the last axis, so every
+    reduction over it runs in one fixed order."""
+    xt = np.ascontiguousarray(np.moveaxis(x, keep_axes, range(len(keep_axes))))
+    return xt.reshape(xt.shape[: len(keep_axes)] + (groups, -1))
 
-    gamma: np.ndarray
-    beta: np.ndarray
+
+def _from_groups(xg: np.ndarray, shape: tuple, keep_axes: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _to_groups, as a C-contiguous array of ``shape``."""
+    kept = tuple(shape[a] for a in keep_axes)
+    rest = tuple(n for a, n in enumerate(shape) if a not in keep_axes)
+    moved = np.moveaxis(xg.reshape(kept + rest), range(len(keep_axes)), keep_axes)
+    return np.ascontiguousarray(moved)
 
 
 def _group_norm_stats(
-    x: np.ndarray, groups: int, eps: float
+    x: np.ndarray, groups: int, eps: float, keep_axes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (xhat [C, T], inv_std [groups, 1]) for a [C, T] input."""
-    c, t = x.shape
-    xg = x.reshape(groups, (c // groups) * t)
-    mu = xg.mean(axis=1, keepdims=True)
+    """Returns (xhat, inv_std) in the grouped layout of _to_groups."""
+    xg = _to_groups(x, groups, keep_axes)
+    mu = xg.mean(axis=-1, keepdims=True)
     d = xg - mu
-    var = (d * d).mean(axis=1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (d * inv).reshape(c, t)
-    return xhat, inv
+    return d * inv, inv
+
+
+def _check_group_norm(x, groups, gamma, beta, keep_axes) -> None:
+    if x.ndim < 2:
+        raise ShapeError(f"group_norm input must be [C, ...], got shape {x.shape}")
+    if len(set(keep_axes)) != len(keep_axes) or any(not 0 < a < x.ndim for a in keep_axes):
+        raise ShapeError(f"keep_axes {keep_axes} must name distinct axes 1..{x.ndim - 1}")
+    c = x.shape[0]
+    if groups < 1 or c % groups != 0:
+        raise ConfigError(f"groups={groups} does not divide {c} channels")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(
+            f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels"
+        )
 
 
 def group_norm(
@@ -101,23 +119,21 @@ def group_norm(
     gamma: np.ndarray,
     beta: np.ndarray,
     eps: float = 1e-5,
+    *,
+    keep_axes: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Normalize [C, T] per channel group, then scale and shift per channel.
+    """Normalize [C, ...] per channel group, then scale and shift per channel.
 
-    Statistics pool over all positions of all channels in a group, so a
-    single group gives layer normalization over the whole tensor.
+    Statistics pool over all channels of a group and over every axis not
+    named in ``keep_axes``; each index along the kept axes gets its own
+    statistics.  A single group with nothing kept gives layer
+    normalization over the whole tensor.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"group_norm input must be [C, T], got shape {x.shape}")
-    c, _ = x.shape
-    if groups < 1 or c % groups != 0:
-        raise ConfigError(f"groups={groups} does not divide {c} channels")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels"
-        )
-    xhat, _ = _group_norm_stats(x, groups, eps)
-    return gamma[:, None] * xhat + beta[:, None]
+    _check_group_norm(x, groups, gamma, beta, keep_axes)
+    xhat, _ = _group_norm_stats(x, groups, eps, keep_axes)
+    xhat = _from_groups(xhat, x.shape, keep_axes)
+    per_channel = (-1,) + (1,) * (x.ndim - 1)
+    return gamma.reshape(per_channel) * xhat + beta.reshape(per_channel)
 
 
 def group_norm_vjp(
@@ -127,20 +143,22 @@ def group_norm_vjp(
     beta: np.ndarray,
     gy: np.ndarray,
     eps: float = 1e-5,
+    *,
+    keep_axes: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents of group_norm: returns (gx, ggamma, gbeta)."""
     if gy.shape != x.shape:
         raise ShapeError(f"cotangent shape {gy.shape} does not match input {x.shape}")
-    c, t = x.shape
-    xhat, inv = _group_norm_stats(x, groups, eps)
-    ggamma = (gy * xhat).sum(axis=1)
-    gbeta = gy.sum(axis=1)
-    m = (c // groups) * t
-    gxh = (gy * gamma[:, None]).reshape(groups, m)
-    xh = xhat.reshape(groups, m)
-    mean_g = gxh.mean(axis=1, keepdims=True)
-    mean_gx = (gxh * xh).mean(axis=1, keepdims=True)
-    gx = (inv * (gxh - mean_g - xh * mean_gx)).reshape(c, t)
+    _check_group_norm(x, groups, gamma, beta, keep_axes)
+    c = x.shape[0]
+    xh, inv = _group_norm_stats(x, groups, eps, keep_axes)
+    gy_c = _to_groups(gy, c, keep_axes)  # same memory order as xh, one row per channel
+    ggamma = (gy_c * xh.reshape(gy_c.shape)).sum(axis=-1).reshape(-1, c).sum(axis=0)
+    gbeta = gy_c.sum(axis=-1).reshape(-1, c).sum(axis=0)
+    gxh = (gy_c * gamma[:, None]).reshape(xh.shape)
+    mean_g = gxh.mean(axis=-1, keepdims=True)
+    mean_gx = (gxh * xh).mean(axis=-1, keepdims=True)
+    gx = _from_groups(inv * (gxh - mean_g - xh * mean_gx), x.shape, keep_axes)
     return gx, ggamma, gbeta
 
 

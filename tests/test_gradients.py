@@ -133,6 +133,30 @@ class TestPerOpFiniteDifferences:
         assert rel_err(fd_grad(lambda v: f(x, v, beta), gamma), gg) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, gamma, v), beta), gb) < PER_OP_TOL
 
+        # [C, F, H, W] with statistics per frame, as in the visual trunk.
+        x = randn(stream, (4, 3, 2, 3))
+        gamma = randn(stream, (4,))
+        beta = randn(stream, (4,))
+        gy = randn(stream, (4, 3, 2, 3))
+        gx, gg, gb = ops.group_norm_vjp(x, 2, gamma, beta, gy, keep_axes=(1,))
+        f = _cotangent_loss(lambda x, g, b: ops.group_norm(x, 2, g, b, keep_axes=(1,)), gy)
+        assert rel_err(fd_grad(lambda v: f(v, gamma, beta), x), gx) < PER_OP_TOL
+        assert rel_err(fd_grad(lambda v: f(x, v, beta), gamma), gg) < PER_OP_TOL
+        assert rel_err(fd_grad(lambda v: f(x, gamma, v), beta), gb) < PER_OP_TOL
+
+        # Layer norm of chunked features [Q, P, C] through a [C, Q, P] view,
+        # as in the separator.
+        y = randn(stream, (3, 4, 5))
+        gamma = randn(stream, (5,))
+        beta = randn(stream, (5,))
+        gy = randn(stream, (5, 3, 4))
+        gx, gg, gb = ops.group_norm_vjp(np.moveaxis(y, -1, 0), 1, gamma, beta, gy)
+        f = _cotangent_loss(lambda y, g, b: ops.group_norm(np.moveaxis(y, -1, 0), 1, g, b), gy)
+        gx_fd = np.moveaxis(fd_grad(lambda v: f(v, gamma, beta), y), -1, 0)
+        assert rel_err(gx_fd, gx) < PER_OP_TOL
+        assert rel_err(fd_grad(lambda v: f(y, v, beta), gamma), gg) < PER_OP_TOL
+        assert rel_err(fd_grad(lambda v: f(y, gamma, v), beta), gb) < PER_OP_TOL
+
     def test_resize_linear_time(self):
         stream = Stream(108)
         x = randn(stream, (7, 3))

@@ -258,6 +258,12 @@ class TestSegmentationRoundTrip:
         for t, q in [(1, 1), (100, 1), (101, 2), (150, 2), (151, 3), (300, 5)]:
             assert segment_time(np.zeros((1, t)), 100, 50).shape[0] == q
 
+    def test_hop_must_be_half_the_chunk(self):
+        with pytest.raises(ConfigError, match="100.*30"):
+            segment_time(np.zeros((1, 200)), 100, 30)
+        with pytest.raises(ConfigError, match="100.*30"):
+            overlap_add(np.zeros((5, 100, 1)), 30, 200)
+
 
 class TestSeparator:
     def test_mask_bounded(self):

@@ -187,6 +187,22 @@ class TestGroupNorm:
         with pytest.raises(ConfigError):
             ops.group_norm(np.zeros((6, 4)), 4, np.ones(6), np.zeros(6))
 
+    def test_kept_frame_axis_matches_frame_by_frame(self):
+        """[C, F, H, W] with the frame axis kept == one [C, H*W] call per frame."""
+        stream = Stream(17)
+        x = 2.0 + randn(stream, (6, 4, 3, 5))
+        gamma = randn(stream, (6,))
+        beta = randn(stream, (6,))
+        y = ops.group_norm(x, 3, gamma, beta, keep_axes=(1,))
+        for f in range(4):
+            ref = ops.group_norm(x[:, f].reshape(6, 15), 3, gamma, beta)
+            assert np.abs(y[:, f].reshape(6, 15) - ref).max() < 1e-12
+
+    def test_keep_axes_must_name_position_axes(self):
+        for axes in ((0,), (3,), (1, 1)):
+            with pytest.raises(ShapeError):
+                ops.group_norm(np.zeros((2, 3, 4)), 1, np.ones(2), np.zeros(2), keep_axes=axes)
+
 
 class TestResizeLinearTime:
     def test_two_to_three(self):
