@@ -165,8 +165,7 @@ def _cmd_enhance(args) -> int:
             f"{checkpoint.config.sample_rate_hz} Hz"
         )
     frames = read_tensor(args.frames)
-    if frames.ndim != 4 or frames.shape[1] != 1:
-        raise DataError(f"frames must be [F, 1, H, W], got {frames.shape}")
+    checkpoint.config.check_frames(frames, args.frames)
     out = enhance(
         wave.astype(np.float32), frames, checkpoint.params, checkpoint.config
     )

@@ -23,22 +23,35 @@ class ManifestEntry:
     snr_db: float
 
 
+def _finite_number(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse one JSON object per line; relative paths resolve against the
     manifest's own directory."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ManifestError(0, f"cannot read {path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ManifestError(line_no, f"{path} is not UTF-8: {exc}") from exc
+        if not text.strip():
             continue
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError
             raise ManifestError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ManifestError(line_no, "entry is not a JSON object")
@@ -47,10 +60,12 @@ def load_manifest(path) -> list[ManifestEntry]:
                 raise ManifestError(line_no, f"missing field {field!r}")
         for field in ("id", "target_path", "interferer_path", "frames_path"):
             value = raw[field]
-            if not isinstance(value, str) or not value:
-                raise ManifestError(line_no, f"field {field!r} must be a non-empty string")
+            if not isinstance(value, str) or not value or "\0" in value:
+                raise ManifestError(
+                    line_no, f"field {field!r} must be a non-empty string without NUL"
+                )
         snr = raw["snr_db"]
-        if isinstance(snr, bool) or not isinstance(snr, (int, float)) or not math.isfinite(snr):
+        if not _finite_number(snr):
             raise ManifestError(line_no, f"field 'snr_db' must be a finite number, got {snr!r}")
         entries.append(
             ManifestEntry(

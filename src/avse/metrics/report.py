@@ -1,8 +1,7 @@
 """Per-pair metric records and the line-delimited report file.
 
-One JSON object per evaluated pair with fields {id, sisdr_db, stoi,
-pesq}; pesq is null unless supplied externally.  The file ends with an
-aggregate object carrying the means.
+One JSON object per evaluated pair with fields {id, sisdr_db, stoi}.
+The file ends with an aggregate object carrying the means.
 """
 
 from __future__ import annotations
@@ -25,17 +24,14 @@ class MetricReport:
     id: str
     sisdr_db: float
     stoi: float
-    pesq: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"id": self.id, "sisdr_db": self.sisdr_db, "stoi": self.stoi, "pesq": self.pesq}
-        )
+        return json.dumps({"id": self.id, "sisdr_db": self.sisdr_db, "stoi": self.stoi})
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
         raw = json.loads(text)
-        return cls(id=raw["id"], sisdr_db=raw["sisdr_db"], stoi=raw["stoi"], pesq=raw["pesq"])
+        return cls(id=raw["id"], sisdr_db=raw["sisdr_db"], stoi=raw["stoi"])
 
 
 def evaluate_pair(clean_path, enhanced_path, pair_id: str | None = None) -> MetricReport:
@@ -55,20 +51,17 @@ def evaluate_pair(clean_path, enhanced_path, pair_id: str | None = None) -> Metr
         id=pair_id,
         sisdr_db=si_sdr(clean, enhanced),
         stoi=stoi(clean, enhanced, rate_c),
-        pesq=None,
     )
 
 
 def aggregate_report(reports: list[MetricReport]) -> MetricReport:
-    """Mean scores across pairs; pesq averages only the present values."""
+    """Mean scores across pairs."""
     if not reports:
         raise DataError("cannot aggregate an empty report list")
-    pesqs = [r.pesq for r in reports if r.pesq is not None]
     return MetricReport(
         id=AGGREGATE_ID,
         sisdr_db=sum(r.sisdr_db for r in reports) / len(reports),
         stoi=sum(r.stoi for r in reports) / len(reports),
-        pesq=sum(pesqs) / len(pesqs) if pesqs else None,
     )
 
 

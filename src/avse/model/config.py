@@ -10,23 +10,24 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 
-from avse.errors import ConfigError
+import numpy as np
+
+from avse.errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Channel counts, kernel, stride, and padding for one convolution."""
+    """Output channels, kernel, stride, and padding for one convolution
+    over a single input channel, with a bias."""
 
-    in_channels: int
     out_channels: int
     kernel: tuple[int, ...]
     stride: tuple[int, ...]
     pad: tuple[int, ...]
-    bias: bool = True
 
     def check(self, name: str) -> None:
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError(f"{name}: channel counts must be positive")
+        if self.out_channels < 1:
+            raise ConfigError(f"{name}: output channels must be positive")
         n = len(self.kernel)
         if n not in (1, 3) or len(self.stride) != n or len(self.pad) != n:
             raise ConfigError(f"{name}: kernel/stride/pad must share 1 or 3 extents")
@@ -39,12 +40,16 @@ class ConvSpec:
 
 
 def _default_frontend() -> ConvSpec:
-    return ConvSpec(1, 16, (5, 7, 7), (1, 2, 2), (2, 3, 3))
+    return ConvSpec(16, (5, 7, 7), (1, 2, 2), (2, 3, 3))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every architectural hyperparameter of the enhancement network."""
+    """Every architectural hyperparameter of the enhancement network.
+
+    The fusion bottleneck is as wide as the encoder and chunks overlap by
+    half, so ``fusion_channels`` and ``chunk_hop`` are derived, not set.
+    """
 
     sample_rate_hz: int = 16000
     enc_channels: int = 256
@@ -55,16 +60,21 @@ class ModelConfig:
     vfn_trunk_channels: tuple[int, ...] = (16, 32, 64, 128)
     vfn_blocks_per_stage: int = 2
     vfn_norm_groups: int = 8
-    fusion_channels: int = 256
     sep_units: int = 4
     sep_hidden: int = 128
     chunk_len: int = 100
-    chunk_hop: int = 50
-    mask_activation: str = "sigmoid"
     frame_hw: tuple[int, int] = (32, 32)
 
     def __post_init__(self) -> None:
         self.check()
+
+    @property
+    def fusion_channels(self) -> int:
+        return self.enc_channels
+
+    @property
+    def chunk_hop(self) -> int:
+        return self.chunk_len // 2
 
     def check(self) -> None:
         positive = {
@@ -75,11 +85,9 @@ class ModelConfig:
             "visual_embed": self.visual_embed,
             "vfn_blocks_per_stage": self.vfn_blocks_per_stage,
             "vfn_norm_groups": self.vfn_norm_groups,
-            "fusion_channels": self.fusion_channels,
             "sep_units": self.sep_units,
             "sep_hidden": self.sep_hidden,
             "chunk_len": self.chunk_len,
-            "chunk_hop": self.chunk_hop,
         }
         for name, value in positive.items():
             if value < 1:
@@ -88,18 +96,9 @@ class ModelConfig:
             raise ConfigError(
                 f"enc_stride {self.enc_stride} exceeds enc_kernel {self.enc_kernel}"
             )
-        if self.chunk_len % 2 != 0 or self.chunk_hop != self.chunk_len // 2:
-            raise ConfigError(
-                f"chunk_hop must be chunk_len/2, got {self.chunk_hop} vs {self.chunk_len}"
-            )
-        if self.fusion_channels != self.enc_channels:
-            raise ConfigError(
-                f"fusion_channels {self.fusion_channels} must equal "
-                f"enc_channels {self.enc_channels}"
-            )
+        if self.chunk_len % 2 != 0:
+            raise ConfigError(f"chunk_len must be even, got {self.chunk_len}")
         self.vfn_frontend.check("vfn_frontend")
-        if self.vfn_frontend.in_channels != 1:
-            raise ConfigError("vfn_frontend must take a single input channel")
         if len(self.vfn_frontend.kernel) != 3:
             raise ConfigError("vfn_frontend must be a 3-D convolution")
         if not self.vfn_trunk_channels:
@@ -117,10 +116,21 @@ class ModelConfig:
                     f"vfn_norm_groups {self.vfn_norm_groups} does not divide "
                     f"trunk channels {c}"
                 )
-        if self.mask_activation != "sigmoid":
-            raise ConfigError(f"unsupported mask activation {self.mask_activation!r}")
         if len(self.frame_hw) != 2 or any(v < 1 for v in self.frame_hw):
             raise ConfigError(f"frame_hw must be two positive extents, got {self.frame_hw}")
+
+    def check_frames(self, frames: np.ndarray, label: str) -> None:
+        """Reject a frame stack the network cannot mean anything on: not
+        [F, 1, H, W], H x W other than ``frame_hw``, or non-finite pixels."""
+        if frames.ndim != 4 or frames.shape[1] != 1:
+            raise DataError(f"{label}: frames must be [F, 1, H, W], got {frames.shape}")
+        if tuple(frames.shape[2:]) != tuple(self.frame_hw):
+            raise DataError(
+                f"{label}: frames are {frames.shape[2]}x{frames.shape[3]}, the model "
+                f"expects {self.frame_hw[0]}x{self.frame_hw[1]}"
+            )
+        if not np.isfinite(frames).all():
+            raise DataError(f"{label}: frames contain non-finite pixels")
 
     def audio_frames(self, n_samples: int) -> int:
         """Encoder output length for an input of n_samples."""
@@ -133,7 +143,7 @@ class ModelConfig:
     def from_json(cls, text: str) -> "ModelConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config JSON must be an object")
@@ -154,12 +164,15 @@ class ModelConfig:
             spec_unknown = set(fr) - spec_known
             if spec_unknown:
                 raise ConfigError(f"unknown vfn_frontend fields: {sorted(spec_unknown)}")
-            fr = {k: tuple(v) if isinstance(v, list) else v for k, v in fr.items()}
-            kwargs["vfn_frontend"] = ConvSpec(**fr)
+            kwargs["vfn_frontend"] = {
+                k: tuple(v) if isinstance(v, list) else v for k, v in fr.items()
+            }
         for key in ("vfn_trunk_channels", "frame_hw"):
             if key in kwargs and isinstance(kwargs[key], list):
                 kwargs[key] = tuple(kwargs[key])
         try:
+            if "vfn_frontend" in kwargs:
+                kwargs["vfn_frontend"] = ConvSpec(**kwargs["vfn_frontend"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
@@ -179,15 +192,13 @@ def tiny_config() -> ModelConfig:
     return ModelConfig(
         enc_channels=8,
         visual_embed=8,
-        vfn_frontend=ConvSpec(1, 2, (3, 5, 5), (1, 2, 2), (1, 2, 2)),
+        vfn_frontend=ConvSpec(2, (3, 5, 5), (1, 2, 2), (1, 2, 2)),
         vfn_trunk_channels=(2, 4),
         vfn_blocks_per_stage=1,
         vfn_norm_groups=2,
-        fusion_channels=8,
         sep_units=1,
         sep_hidden=4,
         chunk_len=4,
-        chunk_hop=2,
         frame_hw=(16, 16),
     )
 

@@ -126,13 +126,16 @@ def _visual_bwd(cache, params, config, g_v, grads):
         g_h = _trunk_block_bwd(block, params, config, g_h, grads)
     fr = config.vfn_frontend
     g_pre = g_h * (cache["pre_front"] > 0)
-    bias = params["vfn.front.b"] if "vfn.front.b" in params else None
     _, gw, gb = conv3d_vjp(
-        cache["frames_x"], params["vfn.front.w"], bias, g_pre, stride=fr.stride, pad=fr.pad
+        cache["frames_x"],
+        params["vfn.front.w"],
+        params["vfn.front.b"],
+        g_pre,
+        stride=fr.stride,
+        pad=fr.pad,
     )
     grads["vfn.front.w"] += gw
-    if gb is not None:
-        grads["vfn.front.b"] += gb
+    grads["vfn.front.b"] += gb
 
 
 def _sep_path_bwd(cache, params, g_out, grads):

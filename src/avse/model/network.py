@@ -103,8 +103,9 @@ def visual_forward_fwd(frames, params, config):
         raise EmptySequenceError("frame sequence is empty")
     fr = config.vfn_frontend
     x = frames[:, 0][None]  # [1, F, H, W]
-    bias = params["vfn.front.b"] if "vfn.front.b" in params else None
-    pre_front = conv3d(x, params["vfn.front.w"], bias, stride=fr.stride, pad=fr.pad)
+    pre_front = conv3d(
+        x, params["vfn.front.w"], params["vfn.front.b"], stride=fr.stride, pad=fr.pad
+    )
     h = activation("relu", pre_front)
     blocks = []
     for i, _ in enumerate(_trunk_stages(config)):
@@ -207,7 +208,8 @@ def _sep_path_fwd(x, params, base, keep_cache=True):
     lstm = _unit_lstm(params, base)
     y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache)
     proj = linear(y, params[f"{base}.proj.w"], params[f"{base}.proj.b"])
-    # Layer norm per channel over every chunk position: [C, Q, P] views.
+    # Layer norm: one mean and variance over all of [C, Q, P] (one group),
+    # gain and bias per channel.
     gamma, beta = params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"]
     normed = group_norm(np.moveaxis(proj, -1, 0), 1, gamma, beta)
     out = x + np.moveaxis(normed, 0, -1)

@@ -83,9 +83,8 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     shapes["enc.w"] = (n, 1, k)
     shapes["enc.b"] = (n,)
-    shapes["vfn.front.w"] = (fr.out_channels, fr.in_channels) + fr.kernel
-    if fr.bias:
-        shapes["vfn.front.b"] = (fr.out_channels,)
+    shapes["vfn.front.w"] = (fr.out_channels, 1) + fr.kernel
+    shapes["vfn.front.b"] = (fr.out_channels,)
     for i, (c_in, c_out) in enumerate(_trunk_stages(config)):
         for j in range(config.vfn_blocks_per_stage):
             base = f"vfn.trunk.s{i}.b{j}"

@@ -1,10 +1,12 @@
 """Strided 1-D and 3-D convolutions with hand-written VJPs.
 
-Forward passes gather input windows with ``sliding_window_view`` and
-contract them against the kernel in one ``tensordot`` call.  Backward
-passes reuse the same window view for the weight gradient and scatter
-the input gradient with one strided slice-add per kernel offset, so the
-loop length is the kernel size, never the signal length.
+Every convolution here rests on two pieces.  ``_correlate`` contracts the
+strided input windows of ``_windows`` (a ``sliding_window_view``) against
+the kernel in one ``tensordot`` call.  ``_input_adjoint`` is its adjoint
+in the input: one ``tensordot`` of kernel and cotangent, then one strided
+slice-add per kernel offset, so the loop length is the kernel size, never
+the signal length.  The transposed convolution is that adjoint, and its
+VJP is a correlation.
 """
 
 from __future__ import annotations
@@ -14,222 +16,136 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from avse.errors import InputTooShortError, ShapeError
 
+Array = np.ndarray
+_Ints = int | tuple[int, ...]  # one value for every spatial axis, or one per axis
+_Cotangents = tuple[Array, Array, Array | None]  # (gx, gw, gb)
 
-def _check_bias(b: np.ndarray | None, c_out: int) -> None:
+
+def _per_axis(v, n: int) -> tuple[int, ...]:
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,) * n
+
+
+def _check(name, x, w, b, n, transposed=False) -> int:
+    """Rank-check ``x`` [C_in, *D] and ``w`` for ``n`` spatial axes, match
+    input channels and bias; returns C_out."""
+    if x.ndim != n + 1 or w.ndim != n + 2:
+        raise ShapeError(
+            f"{name} needs an input with {n + 1} axes and a weight with {n + 2}, "
+            f"got shapes {x.shape} and {w.shape}"
+        )
+    c_in, c_out = (w.shape[0], w.shape[1]) if transposed else (w.shape[1], w.shape[0])
+    if c_in != x.shape[0]:
+        raise ShapeError(f"weight expects {c_in} input channels, input has {x.shape[0]}")
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"bias shape {b.shape} does not match {c_out} output channels")
+    return c_out
 
 
-def conv1d(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray | None = None,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
+def _check_cotangent(gy: Array, shape: tuple[int, ...]) -> None:
+    if gy.shape != shape:
+        raise ShapeError(f"cotangent shape {gy.shape} does not match output {shape}")
+
+
+def _windows(x, kern, stride, pad) -> Array:
+    """Zero-pad the spatial axes of ``x`` [C, *D]; return the strided
+    window view [C, *D', *K]."""
+    if any(pad):
+        x = np.pad(x, ((0, 0),) + tuple((p, p) for p in pad))
+    for axis, (d, k) in enumerate(zip(x.shape[1:], kern)):
+        if d < k:
+            raise InputTooShortError(
+                f"padded extent {d} on axis {axis} is shorter than kernel size {k}"
+            )
+    win = sliding_window_view(x, kern, axis=tuple(range(1, len(kern) + 1)))
+    return win[(slice(None),) + tuple(slice(None, None, s) for s in stride)]
+
+
+def _correlate(win: Array, w: Array, b=None) -> Array:
+    """Contract windows [C_in, *D', *K] with ``w`` [C_out, C_in, *K]."""
+    n = w.ndim - 2
+    y = np.tensordot(w, win, axes=(list(range(1, n + 2)), [0] + list(range(n + 1, 2 * n + 1))))
+    return y + b.reshape((-1,) + (1,) * n) if b is not None else y
+
+
+def _input_adjoint(w, gy, stride, shape) -> Array:
+    """Adjoint of ``_correlate`` in its input: scatter ``gy`` [C_out, *D']
+    through ``w`` [C_out, C_in, *K] into [C_in, *shape]."""
+    # contrib[i, *k, *d] = sum_o w[o, i, *k] * gy[o, *d]
+    contrib = np.tensordot(w, gy, axes=([0], [0]))
+    gx = np.zeros((w.shape[1],) + tuple(shape), dtype=contrib.dtype)
+    spans = [(d - 1) * s + 1 for d, s in zip(gy.shape[1:], stride)]
+    for offset in np.ndindex(*w.shape[2:]):
+        dst = tuple(slice(k, k + span, s) for k, span, s in zip(offset, spans, stride))
+        gx[(slice(None),) + dst] += contrib[(slice(None),) + offset]
+    return gx
+
+
+def _conv_vjp(name, x, w, b, gy, stride, pad, n):
+    c_out = _check(name, x, w, b, n)
+    stride, pad = _per_axis(stride, n), _per_axis(pad, n)
+    win = _windows(x, w.shape[2:], stride, pad)
+    _check_cotangent(gy, (c_out,) + win.shape[1 : n + 1])
+    gx = _input_adjoint(w, gy, stride, [d + 2 * p for d, p in zip(x.shape[1:], pad)])
+    crop = tuple(slice(p, p + d) for p, d in zip(pad, x.shape[1:]))
+    axes = list(range(1, n + 1))
+    gb = gy.sum(axis=tuple(axes)) if b is not None else None
+    return gx[(slice(None),) + crop], np.tensordot(gy, win, axes=(axes, axes)), gb
+
+
+def conv1d(x: Array, w: Array, b: Array | None = None, stride: int = 1, pad: int = 0) -> Array:
     """Cross-correlate ``x`` [C_in, T] with ``w`` [C_out, C_in, K].
 
     Returns [C_out, T'] with T' = floor((T + 2*pad - K) / stride) + 1.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"conv1d input must be [C_in, T], got shape {x.shape}")
-    if w.ndim != 3:
-        raise ShapeError(f"conv1d weight must be [C_out, C_in, K], got shape {w.shape}")
-    c_in, t = x.shape
-    c_out, c_in_w, k = w.shape
-    if c_in_w != c_in:
-        raise ShapeError(f"weight expects {c_in_w} input channels, input has {c_in}")
-    _check_bias(b, c_out)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (pad, pad)))
-    if x.shape[1] < k:
-        raise InputTooShortError(
-            f"input length {t} with pad {pad} is shorter than kernel size {k}"
-        )
-    windows = sliding_window_view(x, k, axis=1)[:, ::stride, :]
-    y = np.tensordot(w, windows, axes=([1, 2], [0, 2]))
-    if b is not None:
-        y = y + b[:, None]
-    return y
+    _check("conv1d", x, w, b, 1)
+    return _correlate(_windows(x, w.shape[2:], (stride,), (pad,)), w, b)
 
 
 def conv1d_vjp(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray | None,
-    gy: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    x: Array, w: Array, b: Array | None, gy: Array, stride: int = 1, pad: int = 0
+) -> _Cotangents:
     """Cotangents of conv1d: returns (gx, gw, gb); gb is None when b is."""
-    c_in, t = x.shape
-    c_out, _, k = w.shape
-    x_pad = np.pad(x, ((0, 0), (pad, pad))) if pad > 0 else x
-    windows = sliding_window_view(x_pad, k, axis=1)[:, ::stride, :]
-    t_out = windows.shape[1]
-    if gy.shape != (c_out, t_out):
-        raise ShapeError(f"cotangent shape {gy.shape} does not match output ({c_out}, {t_out})")
-    gw = np.tensordot(gy, windows, axes=([1], [1]))
-    gb = gy.sum(axis=1) if b is not None else None
-    # contrib[i, k, t'] = sum_o gy[o, t'] * w[o, i, k]
-    contrib = np.tensordot(w, gy, axes=([0], [0]))
-    gx_pad = np.zeros_like(x_pad)
-    span = (t_out - 1) * stride + 1
-    for kk in range(k):
-        gx_pad[:, kk : kk + span : stride] += contrib[:, kk, :]
-    gx = gx_pad[:, pad : pad + t] if pad > 0 else gx_pad
-    return gx, gw, gb
+    return _conv_vjp("conv1d_vjp", x, w, b, gy, stride, pad, 1)
 
 
-def conv_transpose1d(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray | None = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """Transposed convolution of ``x`` [C_in, T] with ``w`` [C_in, C_out, K].
-
-    Returns [C_out, L] with L = (T - 1) * stride + K.  Adjoint of the
-    matching conv1d in its input argument: for any x, y,
-    <conv1d(x; w), y> == <x, conv_transpose1d(y; w-swapped)>.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"conv_transpose1d input must be [C_in, T], got shape {x.shape}")
-    if w.ndim != 3:
-        raise ShapeError(
-            f"conv_transpose1d weight must be [C_in, C_out, K], got shape {w.shape}"
-        )
-    c_in, t = x.shape
-    c_in_w, c_out, k = w.shape
-    if c_in_w != c_in:
-        raise ShapeError(f"weight expects {c_in_w} input channels, input has {c_in}")
-    if t < 1:
-        raise InputTooShortError("conv_transpose1d needs at least one input step")
-    _check_bias(b, c_out)
-    length = (t - 1) * stride + k
-    # contrib[o, k, t] = sum_i x[i, t] * w[i, o, k]
-    contrib = np.tensordot(w, x, axes=([0], [0]))
-    y = np.zeros((c_out, length), dtype=contrib.dtype)
-    span = (t - 1) * stride + 1
-    for kk in range(k):
-        y[:, kk : kk + span : stride] += contrib[:, kk, :]
-    if b is not None:
-        y = y + b[:, None]
-    return y
-
-
-def conv_transpose1d_vjp(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray | None,
-    gy: np.ndarray,
-    stride: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Cotangents of conv_transpose1d: returns (gx, gw, gb)."""
-    c_in, t = x.shape
-    _, c_out, k = w.shape
-    length = (t - 1) * stride + k
-    if gy.shape != (c_out, length):
-        raise ShapeError(f"cotangent shape {gy.shape} does not match output ({c_out}, {length})")
-    windows = sliding_window_view(gy, k, axis=1)[:, ::stride, :]  # [C_out, T, K]
-    gx = np.tensordot(w, windows, axes=([1, 2], [0, 2]))
-    gw = np.tensordot(x, windows, axes=([1], [1]))
-    gb = gy.sum(axis=1) if b is not None else None
-    return gx, gw, gb
-
-
-def _as_triple(v: int | tuple[int, int, int]) -> tuple[int, int, int]:
-    if isinstance(v, int):
-        return (v, v, v)
-    return tuple(v)  # type: ignore[return-value]
-
-
-def conv3d(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray | None = None,
-    stride: int | tuple[int, int, int] = 1,
-    pad: int | tuple[int, int, int] = 0,
-) -> np.ndarray:
+def conv3d(x: Array, w: Array, b: Array | None = None, stride: _Ints = 1, pad: _Ints = 0) -> Array:
     """Cross-correlate ``x`` [C_in, F, H, W] with ``w`` [C_out, C_in, KF, KH, KW].
 
-    ``stride`` and ``pad`` apply per spatial axis (frame, height, width).
-    Returns [C_out, F', H', W'] with the usual floor((D + 2p - K)/s) + 1
-    extent on each axis.
+    ``stride`` and ``pad`` are ints or per-axis triples (frame, height,
+    width).  Returns [C_out, F', H', W'] with the usual
+    floor((D + 2p - K)/s) + 1 extent on each axis.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv3d input must be [C_in, F, H, W], got shape {x.shape}")
-    if w.ndim != 5:
-        raise ShapeError(
-            f"conv3d weight must be [C_out, C_in, KF, KH, KW], got shape {w.shape}"
-        )
-    c_in = x.shape[0]
-    c_out, c_in_w = w.shape[:2]
-    kern = w.shape[2:]
-    if c_in_w != c_in:
-        raise ShapeError(f"weight expects {c_in_w} input channels, input has {c_in}")
-    _check_bias(b, c_out)
-    strides = _as_triple(stride)
-    pads = _as_triple(pad)
-    if any(p > 0 for p in pads):
-        x = np.pad(x, ((0, 0),) + tuple((p, p) for p in pads))
-    for axis in range(3):
-        if x.shape[1 + axis] < kern[axis]:
-            raise InputTooShortError(
-                f"padded extent {x.shape[1 + axis]} on axis {axis} is shorter "
-                f"than kernel size {kern[axis]}"
-            )
-    windows = sliding_window_view(x, kern, axis=(1, 2, 3))
-    windows = windows[:, :: strides[0], :: strides[1], :: strides[2]]
-    y = np.tensordot(w, windows, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
-    if b is not None:
-        y = y + b[:, None, None, None]
-    return y
+    _check("conv3d", x, w, b, 3)
+    return _correlate(_windows(x, w.shape[2:], _per_axis(stride, 3), _per_axis(pad, 3)), w, b)
 
 
 def conv3d_vjp(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray | None,
-    gy: np.ndarray,
-    stride: int | tuple[int, int, int] = 1,
-    pad: int | tuple[int, int, int] = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    x: Array, w: Array, b: Array | None, gy: Array, stride: _Ints = 1, pad: _Ints = 0
+) -> _Cotangents:
     """Cotangents of conv3d: returns (gx, gw, gb)."""
-    c_out = w.shape[0]
-    kern = w.shape[2:]
-    strides = _as_triple(stride)
-    pads = _as_triple(pad)
-    x_pad = (
-        np.pad(x, ((0, 0),) + tuple((p, p) for p in pads))
-        if any(p > 0 for p in pads)
-        else x
-    )
-    windows = sliding_window_view(x_pad, kern, axis=(1, 2, 3))
-    windows = windows[:, :: strides[0], :: strides[1], :: strides[2]]
-    out_shape = windows.shape[1:4]
-    if gy.shape != (c_out,) + out_shape:
-        raise ShapeError(
-            f"cotangent shape {gy.shape} does not match output {(c_out,) + out_shape}"
-        )
-    gw = np.tensordot(gy, windows, axes=([1, 2, 3], [1, 2, 3]))
-    gb = gy.sum(axis=(1, 2, 3)) if b is not None else None
-    gy_flat = gy.reshape(c_out, -1)
-    gx_pad = np.zeros_like(x_pad)
-    spans = [(out_shape[a] - 1) * strides[a] + 1 for a in range(3)]
-    for ka in range(kern[0]):
-        for kb in range(kern[1]):
-            for kc in range(kern[2]):
-                g = (w[:, :, ka, kb, kc].T @ gy_flat).reshape((x.shape[0],) + out_shape)
-                gx_pad[
-                    :,
-                    ka : ka + spans[0] : strides[0],
-                    kb : kb + spans[1] : strides[1],
-                    kc : kc + spans[2] : strides[2],
-                ] += g
-    if any(p > 0 for p in pads):
-        sl = tuple(slice(p, p + x.shape[1 + a]) for a, p in enumerate(pads))
-        gx = gx_pad[(slice(None),) + sl]
-    else:
-        gx = gx_pad
-    return gx, gw, gb
+    return _conv_vjp("conv3d_vjp", x, w, b, gy, stride, pad, 3)
+
+
+def conv_transpose1d(x: Array, w: Array, b: Array | None = None, stride: int = 1) -> Array:
+    """Transposed convolution of ``x`` [C_in, T] with ``w`` [C_in, C_out, K].
+
+    Returns [C_out, L] with L = (T - 1) * stride + K.  It is the input
+    adjoint of conv1d with the same kernel: for any x, y,
+    <conv1d(x; w), y> == <x, conv_transpose1d(y; w)>.
+    """
+    _check("conv_transpose1d", x, w, b, 1, transposed=True)
+    if x.shape[1] < 1:
+        raise InputTooShortError("conv_transpose1d needs at least one input step")
+    y = _input_adjoint(w, x, (stride,), ((x.shape[1] - 1) * stride + w.shape[2],))
+    return y + b[:, None] if b is not None else y
+
+
+def conv_transpose1d_vjp(
+    x: Array, w: Array, b: Array | None, gy: Array, stride: int = 1
+) -> _Cotangents:
+    """Cotangents of conv_transpose1d: returns (gx, gw, gb)."""
+    c_out = _check("conv_transpose1d_vjp", x, w, b, 1, transposed=True)
+    _check_cotangent(gy, (c_out, (x.shape[1] - 1) * stride + w.shape[2]))
+    win = _windows(gy, w.shape[2:], (stride,), (0,))  # [C_out, T, K]
+    gb = gy.sum(axis=1) if b is not None else None
+    return _correlate(win, w), np.tensordot(x, win, axes=([1], [1])), gb

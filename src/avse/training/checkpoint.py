@@ -63,7 +63,10 @@ def _read_named_blocks(blob: bytes, pos: int, count: int, label: str):
         pos += 2
         if len(blob) - pos < name_len:
             raise CorruptCheckpointError(f"{label}: truncated tensor name")
-        name = blob[pos : pos + name_len].decode("utf-8")
+        try:
+            name = blob[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(f"{label}: tensor name is not UTF-8: {exc}") from exc
         pos += name_len
         try:
             arr, pos = parse_tensor(blob, f"{label}: tensor {name!r}", pos)

@@ -35,8 +35,9 @@ _SUB_SHUFFLE = 101
 _SUB_MIX = 102
 
 
-def load_scene(entry: ManifestEntry, expected_rate: int) -> Scene:
-    """Materialize one manifest entry; validates rates and frame layout."""
+def load_scene(entry: ManifestEntry, config: ModelConfig) -> Scene:
+    """Materialize one manifest entry; validates rates and frames."""
+    expected_rate = config.sample_rate_hz
     target, rate_t = load_wav(entry.target_path)
     interferer, rate_i = load_wav(entry.interferer_path)
     if rate_t != expected_rate or rate_i != expected_rate:
@@ -45,10 +46,7 @@ def load_scene(entry: ManifestEntry, expected_rate: int) -> Scene:
             f"the configured {expected_rate} Hz"
         )
     frames = read_tensor(entry.frames_path).astype(np.float64)
-    if frames.ndim != 4 or frames.shape[1] != 1:
-        raise DataError(
-            f"scene {entry.id}: frames must be [F, 1, H, W], got {frames.shape}"
-        )
+    config.check_frames(frames, f"scene {entry.id} ({entry.frames_path})")
     return Scene(
         id=entry.id,
         target=target,
@@ -139,5 +137,5 @@ def train(
     log_path=None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Train from manifest entries (files on disk)."""
-    scenes = [load_scene(entry, config.sample_rate_hz) for entry in entries]
+    scenes = [load_scene(entry, config) for entry in entries]
     return train_scenes(config, scenes, epochs, seed, lr=lr, log_path=log_path)

@@ -23,7 +23,7 @@ from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
 from avse.data.wavio import load_wav, save_wav
 from avse.metrics import si_sdr, stoi
-from avse.model.config import default_config, tiny_config
+from avse.model.config import default_config, scaled_config, tiny_config
 from avse.model.network import (
     decode_audio,
     encode_audio,
@@ -425,7 +425,9 @@ def test_criterion_12_every_command_bit_reproducible(tmp_path):
     enhanced = tmp_path / "enhanced.wav"
     report = tmp_path / "report.jsonl"
     cfg = tmp_path / "tiny.json"
-    cfg.write_text(tiny_config().to_json(), encoding="utf-8")
+    # `avse synth` writes frames at the default config's size.
+    synth_frames_tiny = scaled_config(tiny_config(), frame_hw=default_config().frame_hw)
+    cfg.write_text(synth_frames_tiny.to_json(), encoding="utf-8")
 
     # Bootstrap once just to learn the manifest file names, then wipe so
     # both measured runs start from the same state with identical argv.

@@ -3,6 +3,7 @@ determinism, and the synth -> train -> enhance -> evaluate pipeline."""
 
 import io
 import json
+import re
 import shutil
 import time
 from contextlib import redirect_stdout
@@ -15,7 +16,7 @@ from avse import cli
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import write_tensor
 from avse.data.wavio import load_wav, save_wav
-from avse.model.config import default_config, tiny_config
+from avse.model.config import default_config, scaled_config, tiny_config
 from avse.model.params import count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
 from avse.training.checkpoint import Checkpoint, save_checkpoint
@@ -267,6 +268,58 @@ class TestEnhanceErrors:
         assert code == 2
 
 
+def _bad_frames(kind):
+    """[F, 1, H, W] frames wrong for tiny_config's 16x16 frame_hw."""
+    if kind == "size":
+        return np.zeros((4, 1, 48, 48), dtype=np.float32)
+    frames = np.zeros((4, 1, 16, 16), dtype=np.float32)
+    frames[2, 0, 5, 7] = np.nan
+    return frames
+
+
+_BAD_FRAME_MESSAGES = {"size": "48x48.*16x16", "nan": "non-finite"}
+
+
+class TestFrameValidation:
+    """enhance and train reject frames of the wrong size or with non-finite
+    pixels, naming the file, with exit 2."""
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_FRAME_MESSAGES))
+    def test_enhance_rejects(self, kind, tmp_path, capsys):
+        config = tiny_config()
+        model = tmp_path / "m.avck"
+        save_checkpoint(model, Checkpoint(config, init_parameters(config, 0, dtype=np.float32)))
+        audio = tmp_path / "a.wav"
+        save_wav(audio, Stream(0).uniform(4000, -0.5, 0.5), config.sample_rate_hz)
+        frames = tmp_path / "f.avst"
+        write_tensor(frames, _bad_frames(kind))
+        code = cli.main(["enhance", "--model", str(model), "--audio", str(audio),
+                         "--frames", str(frames), "--out", str(tmp_path / "o.wav")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(frames) in err
+        assert re.search(_BAD_FRAME_MESSAGES[kind], err)
+        assert not (tmp_path / "o.wav").exists()
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_FRAME_MESSAGES))
+    def test_train_rejects(self, kind, tmp_path, capsys):
+        scene = synth_scene(0, 0.5, tiny_config())
+        save_wav(tmp_path / "t.wav", scene.target, scene.sample_rate_hz)
+        save_wav(tmp_path / "i.wav", scene.interferer, scene.sample_rate_hz)
+        write_tensor(tmp_path / "f.avst", _bad_frames(kind))
+        entry = {"id": "s", "target_path": "t.wav", "interferer_path": "i.wav",
+                 "frames_path": "f.avst", "snr_db": 0.0}
+        (tmp_path / "manifest.jsonl").write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(tiny_config().to_json(), encoding="utf-8")
+        code = cli.main(["train", "--data", str(tmp_path), "--config", str(cfg),
+                         "--epochs", "1", "--out", str(tmp_path / "m.avck")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "f.avst" in err
+        assert re.search(_BAD_FRAME_MESSAGES[kind], err)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> train -> mix -> enhance -> evaluate, all through the CLI.
@@ -285,7 +338,9 @@ def pipeline(tmp_path_factory):
     for d in (noisy, enhanced, clean):
         d.mkdir()
     cfg = root / "tiny.json"
-    cfg.write_text(tiny_config().to_json(), encoding="utf-8")
+    # `avse synth` writes frames at the default config's size.
+    synth_frames_tiny = scaled_config(tiny_config(), frame_hw=default_config().frame_hw)
+    cfg.write_text(synth_frames_tiny.to_json(), encoding="utf-8")
     model = root / "model.avck"
     code, train_stdout = _run(
         ["train", "--data", str(data), "--config", str(cfg), "--epochs", "40",

@@ -43,13 +43,16 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             scaled_config(default_config(), enc_kernel=8, enc_stride=16)
 
-    def test_rejects_bad_chunk_hop(self):
-        with pytest.raises(ConfigError):
-            scaled_config(default_config(), chunk_len=100, chunk_hop=30)
+    def test_rejects_derived_fields_in_json(self):
+        """chunk_hop and fusion_channels follow from chunk_len and
+        enc_channels; a config that sets them is refused."""
+        for key, value in (("chunk_hop", 50), ("fusion_channels", 256)):
+            with pytest.raises(ConfigError, match=key):
+                ModelConfig.from_json(f'{{"chunk_len": 100, "{key}": {value}}}')
 
-    def test_rejects_fusion_width_mismatch(self):
-        with pytest.raises(ConfigError):
-            scaled_config(default_config(), fusion_channels=128)
+    def test_rejects_odd_chunk_len(self):
+        with pytest.raises(ConfigError, match="even"):
+            scaled_config(default_config(), chunk_len=99)
 
     def test_rejects_nonpositive_extents(self):
         with pytest.raises(ConfigError):

@@ -119,6 +119,50 @@ class TestConv3d:
             ops.conv3d(np.zeros((1, 2, 8, 8)), np.zeros((1, 1, 5, 3, 3)))
 
 
+# A valid (x shape, w shape, C_out, gy shape, stride) for each forward op.
+_CONV_CASES = {
+    "conv1d": ((2, 9), (3, 2, 3), 3, (3, 7), 1),
+    "conv3d": ((2, 3, 4, 4), (3, 2, 1, 3, 3), 3, (3, 3, 2, 2), 1),
+    "conv_transpose1d": ((2, 5), (2, 3, 4), 3, (3, 12), 2),
+}
+
+
+def _conv_call(name, fault):
+    base = name.removesuffix("_vjp")
+    x_shape, w_shape, c_out, gy_shape, stride = _CONV_CASES[base]
+    x, w, b, gy = np.ones(x_shape), np.ones(w_shape), np.ones(c_out), np.ones(gy_shape)
+    if fault == "rank":
+        x = x[None]
+    elif fault == "channels":
+        x = np.ones((x_shape[0] + 1,) + x_shape[1:])
+    elif fault == "bias":
+        b = np.ones(c_out + 1)
+    elif fault == "cotangent":
+        gy = np.ones(gy_shape[:-1] + (gy_shape[-1] + 1,))
+    fn = getattr(ops, name)
+    if name.endswith("_vjp"):
+        return lambda: fn(x, w, b, gy, stride=stride)
+    return lambda: fn(x, w, b, stride=stride)
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        (name + suffix, fault)
+        for name in _CONV_CASES
+        for suffix in ("", "_vjp")
+        for fault in ("rank", "channels", "bias") + (("cotangent",) if suffix else ())
+    ],
+)
+def test_conv_entry_points_reject_bad_shapes(name, fault):
+    """Every conv entry point raises ShapeError on a wrong-rank input, a
+    channel mismatch and a wrong bias shape; every VJP also on a wrong
+    cotangent shape.  The unfaulted call succeeds."""
+    _conv_call(name, None)()
+    with pytest.raises(ShapeError):
+        _conv_call(name, fault)()
+
+
 class TestLinear:
     def test_hand_case(self):
         """y = x W^T + b on a 2x2 system."""
