@@ -204,5 +204,12 @@ def tiny_config() -> ModelConfig:
 
 
 def scaled_config(base: ModelConfig, **overrides) -> ModelConfig:
-    """A copy of ``base`` with the given fields replaced (revalidated)."""
+    """A copy of ``base`` with the given fields replaced (revalidated).
+
+    Derived values (``chunk_hop``, ``fusion_channels``) are not fields and
+    are refused like any other unknown name.
+    """
+    unknown = set(overrides) - set(ModelConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return replace(base, **overrides)

@@ -43,6 +43,16 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             scaled_config(default_config(), enc_kernel=8, enc_stride=16)
 
+    def test_rejects_bad_chunk_hop(self):
+        """chunk_hop is chunk_len / 2, not a field; overriding it is refused."""
+        with pytest.raises(ConfigError, match="chunk_hop"):
+            scaled_config(default_config(), chunk_len=100, chunk_hop=30)
+
+    def test_rejects_fusion_width_mismatch(self):
+        """fusion_channels follows enc_channels; overriding it is refused."""
+        with pytest.raises(ConfigError, match="fusion_channels"):
+            scaled_config(default_config(), fusion_channels=128)
+
     def test_rejects_derived_fields_in_json(self):
         """chunk_hop and fusion_channels follow from chunk_len and
         enc_channels; a config that sets them is refused."""
