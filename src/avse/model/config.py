@@ -15,6 +15,16 @@ import numpy as np
 from avse.errors import ConfigError, DataError
 
 
+def _is_int(value) -> bool:
+    """True for Python and NumPy integers; bools are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_ints(name: str, values) -> None:
+    if not isinstance(values, tuple) or not all(_is_int(v) for v in values):
+        raise ConfigError(f"{name} must be a tuple of integers (a JSON list), got {values!r}")
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     """Output channels, kernel, stride, and padding for one convolution
@@ -26,6 +36,10 @@ class ConvSpec:
     pad: tuple[int, ...]
 
     def check(self, name: str) -> None:
+        if not _is_int(self.out_channels):
+            raise ConfigError(f"{name}.out_channels must be an integer, got {self.out_channels!r}")
+        for field_name in ("kernel", "stride", "pad"):
+            _check_ints(f"{name}.{field_name}", getattr(self, field_name))
         if self.out_channels < 1:
             raise ConfigError(f"{name}: output channels must be positive")
         n = len(self.kernel)
@@ -90,8 +104,12 @@ class ModelConfig:
             "chunk_len": self.chunk_len,
         }
         for name, value in positive.items():
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        _check_ints("vfn_trunk_channels", self.vfn_trunk_channels)
+        _check_ints("frame_hw", self.frame_hw)
         if self.enc_stride > self.enc_kernel:
             raise ConfigError(
                 f"enc_stride {self.enc_stride} exceeds enc_kernel {self.enc_kernel}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from avse.errors import ConfigError, ShapeError
 
@@ -47,12 +48,9 @@ def activation(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, 0)
     if kind == "sigmoid":
-        # Two-branch form avoids overflow in exp for large |x|; exp only
-        # ever sees -|x|, so both divisions are safe everywhere and the
-        # select keeps each element on its branch's exact expression.
-        neg = x < 0
-        ex = np.exp(np.where(neg, x, -x))
-        return np.where(neg, ex / (1.0 + ex), 1.0 / (1.0 + ex))
+        # One pass in the input's dtype; saturates to 0 and 1 without
+        # overflow warnings.
+        return expit(x)
     if kind == "tanh":
         return np.tanh(x)
     raise ConfigError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
@@ -71,30 +69,26 @@ def activation_vjp(kind: str, x: np.ndarray, gy: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
 
 
-def _to_groups(x: np.ndarray, groups: int, keep_axes: tuple[int, ...]) -> np.ndarray:
-    """[C, ...] -> [*kept, groups, pooled]: the kept axes lead, and each
-    group's pooled elements lie contiguous on the last axis, so every
-    reduction over it runs in one fixed order."""
-    xt = np.ascontiguousarray(np.moveaxis(x, keep_axes, range(len(keep_axes))))
-    return xt.reshape(xt.shape[: len(keep_axes)] + (groups, -1))
+def _grouped(x: np.ndarray, groups: int) -> np.ndarray:
+    """[C, ...] -> [groups, C // groups, ...], a view of any layout."""
+    return x.reshape((groups, x.shape[0] // groups) + x.shape[1:])
 
 
-def _from_groups(xg: np.ndarray, shape: tuple, keep_axes: tuple[int, ...]) -> np.ndarray:
-    """Inverse of _to_groups, as a C-contiguous array of ``shape``."""
-    kept = tuple(shape[a] for a in keep_axes)
-    rest = tuple(n for a, n in enumerate(shape) if a not in keep_axes)
-    moved = np.moveaxis(xg.reshape(kept + rest), range(len(keep_axes)), keep_axes)
-    return np.ascontiguousarray(moved)
+def _pooled_axes(ndim: int, keep_axes: tuple[int, ...]) -> tuple[int, ...]:
+    """Axes of the grouped view that statistics pool over: the channels
+    of a group and every position axis not kept."""
+    return (1,) + tuple(a + 1 for a in range(1, ndim) if a not in keep_axes)
 
 
 def _group_norm_stats(
     x: np.ndarray, groups: int, eps: float, keep_axes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (xhat, inv_std) in the grouped layout of _to_groups."""
-    xg = _to_groups(x, groups, keep_axes)
-    mu = xg.mean(axis=-1, keepdims=True)
+    """Returns (xhat, inv_std) in the grouped layout of _grouped."""
+    xg = _grouped(x, groups)
+    axes = _pooled_axes(x.ndim, keep_axes)
+    mu = xg.mean(axis=axes, keepdims=True)
     d = xg - mu
-    var = (d * d).mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     return d * inv, inv
 
@@ -131,7 +125,7 @@ def group_norm(
     """
     _check_group_norm(x, groups, gamma, beta, keep_axes)
     xhat, _ = _group_norm_stats(x, groups, eps, keep_axes)
-    xhat = _from_groups(xhat, x.shape, keep_axes)
+    xhat = xhat.reshape(x.shape)
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     return gamma.reshape(per_channel) * xhat + beta.reshape(per_channel)
 
@@ -150,15 +144,15 @@ def group_norm_vjp(
     if gy.shape != x.shape:
         raise ShapeError(f"cotangent shape {gy.shape} does not match input {x.shape}")
     _check_group_norm(x, groups, gamma, beta, keep_axes)
-    c = x.shape[0]
     xh, inv = _group_norm_stats(x, groups, eps, keep_axes)
-    gy_c = _to_groups(gy, c, keep_axes)  # same memory order as xh, one row per channel
-    ggamma = (gy_c * xh.reshape(gy_c.shape)).sum(axis=-1).reshape(-1, c).sum(axis=0)
-    gbeta = gy_c.sum(axis=-1).reshape(-1, c).sum(axis=0)
-    gxh = (gy_c * gamma[:, None]).reshape(xh.shape)
-    mean_g = gxh.mean(axis=-1, keepdims=True)
-    mean_gx = (gxh * xh).mean(axis=-1, keepdims=True)
-    gx = _from_groups(inv * (gxh - mean_g - xh * mean_gx), x.shape, keep_axes)
+    positions = tuple(range(1, x.ndim))
+    ggamma = (gy * xh.reshape(x.shape)).sum(axis=positions)
+    gbeta = gy.sum(axis=positions)
+    gxh = _grouped(gy * gamma.reshape((-1,) + (1,) * (x.ndim - 1)), groups)
+    axes = _pooled_axes(x.ndim, keep_axes)
+    mean_g = gxh.mean(axis=axes, keepdims=True)
+    mean_gx = (gxh * xh).mean(axis=axes, keepdims=True)
+    gx = (inv * (gxh - mean_g - xh * mean_gx)).reshape(x.shape)
     return gx, ggamma, gbeta
 
 

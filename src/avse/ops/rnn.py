@@ -6,9 +6,13 @@ the recurrent state, and the four H-row blocks hold the input, forget,
 cell, and output gates in that order.  States start at zero.  The
 backward direction runs the same cell on the time-reversed sequence.
 
-The forward and backward loops are written over a leading batch axis so
-that every chunk of the dual-path separator runs through one pair of
-BLAS calls per step instead of one Python loop per chunk.
+Both directions run in one loop over [B, T, D], stacked on a leading
+axis of 2: step s reads and writes time s for the forward direction and
+time T-1-s for the backward one, so nothing is reversed by copying.
+Each step is one GEMM of the rows [x_t, 1, h] by both directions'
+[W_x, b, W_h] and one sigmoid over every gate; the gate and cell records
+are kept in step order, gate-major ([T, 4, 2, B, H]).  The backward pass
+walks the same steps in reverse.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from avse.errors import EmptySequenceError, ShapeError
-from avse.ops.dense import activation
 
 
 @dataclass
@@ -50,108 +54,15 @@ class LstmParams:
                 raise ShapeError(f"{name} bias shape {b.shape} does not match {w.shape[0]} rows")
 
 
-def _dir_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, keep_cache: bool = True
-) -> tuple[np.ndarray, dict | None]:
-    """One direction over [B, T, D]; returns ([B, T, H], cache).
-
-    With keep_cache=False the per-step gate and cell records that only
-    the backward pass reads are never stored, which keeps inference at a
-    small fraction of the training-path memory footprint.
-    """
-    nb, t, d = x.shape
-    h_size = w.shape[0] // 4
-    # Contiguous operands in one dtype keep every matmul on the BLAS fast
-    # path; mixed-dtype or reversed-view inputs otherwise fall back to a
-    # strided loop an order of magnitude slower.  The cast matches NumPy's
-    # own promotion, so results are bit-identical.
-    ct = np.result_type(x.dtype, w.dtype)
-    x = np.ascontiguousarray(x, dtype=ct)
-    b = b.astype(ct, copy=False)
-    wx = np.ascontiguousarray(w[:, :d], dtype=ct)
-    wh = np.ascontiguousarray(w[:, d:], dtype=ct)
-    zx = x @ wx.T + b  # input contribution for every step at once
-    wh_t = np.ascontiguousarray(wh.T)
-    gates = np.empty((nb, t, 4 * h_size), dtype=ct) if keep_cache else None
-    cells = np.empty((nb, t, h_size), dtype=ct) if keep_cache else None
-    hidden = np.empty((nb, t, h_size), dtype=ct)
-    h = np.zeros((nb, h_size), dtype=ct)
-    c = np.zeros((nb, h_size), dtype=ct)
-    z = np.empty((nb, 4 * h_size), dtype=ct)
-    tmp = np.empty((nb, h_size), dtype=ct)
-    hs = h_size
-    for step in range(t):
-        np.matmul(h, wh_t, out=z)
-        z += zx[:, step]
-        # One sigmoid over the whole slab; the cell quarter of the result
-        # is thrown away and replaced by its tanh.
-        sg = activation("sigmoid", z)
-        gg = np.tanh(z[:, 2 * hs : 3 * hs])
-        np.multiply(sg[:, hs : 2 * hs], c, out=c)
-        np.multiply(sg[:, :hs], gg, out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        np.multiply(sg[:, 3 * hs :], tmp, out=h)
-        if keep_cache:
-            gates[:, step] = sg
-            gates[:, step, 2 * hs : 3 * hs] = gg
-            cells[:, step] = c
-        hidden[:, step] = h
-    if not keep_cache:
-        return hidden, None
-    cache = {"x": x, "w": w, "gates": gates, "cells": cells, "hidden": hidden}
-    return hidden, cache
-
-
-def _dir_backward(cache: dict, gh_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through one direction; returns (gx, gw, gb)."""
-    x = cache["x"]
-    w = cache["w"]
-    gates = cache["gates"]
-    cells = cache["cells"]
-    hidden = cache["hidden"]
-    nb, t, d = x.shape
-    hs = w.shape[0] // 4
-    wh = np.ascontiguousarray(w[:, d:], dtype=x.dtype)
-    wx = np.ascontiguousarray(w[:, :d], dtype=x.dtype)
-    gh_seq = np.ascontiguousarray(gh_seq, dtype=x.dtype)
-    dz_all = np.empty((nb, t, 4 * hs), dtype=x.dtype)
-    dh = np.zeros((nb, hs), dtype=x.dtype)
-    dc = np.zeros((nb, hs), dtype=x.dtype)
-    for step in range(t - 1, -1, -1):
-        gi = gates[:, step, :hs]
-        gf = gates[:, step, hs : 2 * hs]
-        gg = gates[:, step, 2 * hs : 3 * hs]
-        go = gates[:, step, 3 * hs :]
-        c = cells[:, step]
-        c_prev = cells[:, step - 1] if step > 0 else np.zeros_like(c)
-        tc = np.tanh(c)
-        dh = dh + gh_seq[:, step]
-        do = dh * tc
-        dc = dc + dh * go * (1.0 - tc * tc)
-        di = dc * gg
-        dg = dc * gi
-        df = dc * c_prev
-        dc = dc * gf
-        dz = dz_all[:, step]
-        dz[:, :hs] = di * gi * (1.0 - gi)
-        dz[:, hs : 2 * hs] = df * gf * (1.0 - gf)
-        dz[:, 2 * hs : 3 * hs] = dg * (1.0 - gg * gg)
-        dz[:, 3 * hs :] = do * go * (1.0 - go)
-        dh = dz @ wh
-    gx = dz_all @ wx
-    h_prev = np.concatenate([np.zeros((nb, 1, hs), dtype=x.dtype), hidden[:, :-1]], axis=1)
-    gwx = np.tensordot(dz_all, x, axes=([0, 1], [0, 1]))
-    gwh = np.tensordot(dz_all, h_prev, axes=([0, 1], [0, 1]))
-    gw = np.concatenate([gwx, gwh], axis=1)
-    gb = dz_all.sum(axis=(0, 1))
-    return gx, gw, gb
-
-
 def bilstm_forward_batched(
     x: np.ndarray, params: LstmParams, keep_cache: bool = True
 ) -> tuple[np.ndarray, dict | None]:
-    """Both directions over [B, T, D]; returns ([B, T, 2H], cache)."""
+    """Both directions over [B, T, D]; returns ([B, T, 2H], cache).
+
+    With keep_cache=False the gate and cell records that only the
+    backward pass reads are never stored.  The cache holds the returned
+    output itself, which must not be written to.
+    """
     if x.ndim != 3:
         raise ShapeError(f"batched BiLSTM input must be [B, T, D], got shape {x.shape}")
     if x.shape[1] < 1:
@@ -161,23 +72,99 @@ def bilstm_forward_batched(
         raise ShapeError(
             f"input feature size {x.shape[2]} does not match weights ({params.input_size})"
         )
-    h_fw, cache_fw = _dir_forward(x, params.w_fw, params.b_fw, keep_cache)
-    h_bw_rev, cache_bw = _dir_forward(x[:, ::-1], params.w_bw, params.b_bw, keep_cache)
-    y = np.concatenate([h_fw, h_bw_rev[:, ::-1]], axis=2)
+    nb, t, d = x.shape
+    hs = params.hidden_size
+    # One dtype (NumPy's own promotion) keeps every matmul on the BLAS path.
+    ct = np.result_type(x.dtype, params.w_fw.dtype)
+    x = np.ascontiguousarray(x, dtype=ct)
+    w, b = np.stack([params.w_fw, params.w_bw]), np.stack([params.b_fw, params.b_bw])
+    wb = np.concatenate([w[:, :, :d], b[:, :, None], w[:, :, d:]], axis=2).astype(ct, copy=False)
+    # [4, 2, D+1+H, H]: the product lands as one [B, H] block per gate and direction.
+    w_t = np.ascontiguousarray(wb.reshape(2, 4, hs, -1).transpose(1, 0, 3, 2))
+    xh = np.zeros((2, nb, d + 1 + hs), dtype=ct)
+    xh[:, :, d] = 1
+    h = xh[:, :, d + 1 :]  # the state is written in place, next to the next input
+    z = np.empty((4, 2, nb, hs), dtype=ct)
+    tmp = np.empty((2, nb, hs), dtype=ct)
+    y = np.empty((nb, t, 2 * hs), dtype=ct)
+    # Records of every step, cell states from the zero state on; without a
+    # cache, one gate slab and two alternating cell slabs.
+    gates = np.empty((t if keep_cache else 1, 4, 2, nb, hs), dtype=ct)
+    cells = np.zeros((t + 1 if keep_cache else 2, 2, nb, hs), dtype=ct)
+    for s in range(t):
+        g = gates[s % len(gates)]
+        c_prev, c = cells[s % len(cells)], cells[(s + 1) % len(cells)]
+        xh[0, :, :d] = x[:, s]
+        xh[1, :, :d] = x[:, t - 1 - s]
+        np.matmul(xh, w_t, out=z)
+        expit(z, out=g)
+        np.tanh(z[2], out=g[2])  # the cell gate takes tanh, not the sigmoid
+        np.multiply(g[1], c_prev, out=c)
+        np.multiply(g[0], g[2], out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        np.multiply(g[3], tmp, out=h)
+        y[:, s, :hs] = h[0]
+        y[:, t - 1 - s, hs:] = h[1]
     if not keep_cache:
         return y, None
-    return y, {"fw": cache_fw, "bw": cache_bw, "hidden_size": params.hidden_size}
+    return y, {"x": x, "wb": wb, "gates": gates, "cells": cells, "y": y, "hidden_size": hs}
 
 
 def bilstm_backward_batched(
     cache: dict, gy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
+    x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
     hs = cache["hidden_size"]
-    gx_fw, gw_fw, gb_fw = _dir_backward(cache["fw"], gy[:, :, :hs])
-    gx_bw_rev, gw_bw, gb_bw = _dir_backward(cache["bw"], gy[:, ::-1, hs:])
-    gx = gx_fw + gx_bw_rev[:, ::-1]
-    return gx, gw_fw, gb_fw, gw_bw, gb_bw
+    nb, t, d = x.shape
+    ct = gates.dtype
+    # Everything that needs only the forward records, for all steps at
+    # once: dz of the i, f and g gates is dc times coef, dz of the o gate
+    # is dh times coef, and dc gains dh times dc_dh.
+    gi, gf, gg, go = gates.transpose(1, 0, 2, 3, 4)
+    coef = np.empty_like(gates)
+    ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
+    tc = np.tanh(cells[1:])
+    np.multiply(gi * (1 - gi), gg, out=ci)
+    np.multiply(gf * (1 - gf), cells[:-1], out=cf)
+    np.multiply(1 - gg * gg, gi, out=cg)
+    np.multiply(go * (1 - go), tc, out=co)
+    dc_dh = go * (1 - tc * tc)
+    gh = np.empty((t, 2, nb, hs), dtype=ct)  # output cotangent in step order
+    gh[:, 0] = gy[:, :, :hs].transpose(1, 0, 2)
+    gh[:, 1] = gy[:, ::-1, hs:].transpose(1, 0, 2)
+    wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [2, 4H, H]
+    dz_all = np.empty((2, t, nb, 4 * hs), dtype=ct)  # in step order
+    dz_gates = dz_all.reshape(2, t, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [T, 4, 2, B, H]
+    dh = np.zeros((2, nb, hs), dtype=ct)
+    dc = np.zeros((2, nb, hs), dtype=ct)
+    tmp = np.empty((2, nb, hs), dtype=ct)
+    for s in range(t - 1, -1, -1):
+        dh += gh[s]
+        np.multiply(dh, dc_dh[s], out=tmp)
+        dc += tmp
+        np.multiply(coef[s, :3], dc, out=dz_gates[s, :3])
+        np.multiply(coef[s, 3], dh, out=dz_gates[s, 3])
+        dc *= gf[s]
+        np.matmul(dz_all[:, s], wh, out=dh)
+    dz_rows = dz_all.reshape(2, t * nb, 4 * hs)
+    # Input cotangent: the backward direction's step s is time T-1-s.
+    gx_steps = np.matmul(dz_rows, wb[:, :, :d]).reshape(2, t, nb, d)
+    gx = np.empty((nb, t, d), dtype=ct)
+    np.add(gx_steps[0].transpose(1, 0, 2), gx_steps[1, ::-1].transpose(1, 0, 2), out=gx)
+    # Weight and bias cotangents: dz against each direction's step rows
+    # [x_t, 1, h_prev], rebuilt in step order.
+    xh = np.zeros((2, t, nb, d + 1 + hs), dtype=ct)
+    xh[0, :, :, :d] = x.transpose(1, 0, 2)
+    xh[1, :, :, :d] = x[:, ::-1].transpose(1, 0, 2)
+    xh[:, :, :, d] = 1
+    xh[0, 1:, :, d + 1 :] = y[:, :-1, :hs].transpose(1, 0, 2)
+    xh[1, 1:, :, d + 1 :] = y[:, :0:-1, hs:].transpose(1, 0, 2)
+    gwb = np.matmul(dz_rows.transpose(0, 2, 1), xh.reshape(2, t * nb, -1))
+    gw = np.delete(gwb, d, axis=2)
+    gb = gwb[:, :, d]
+    return gx, gw[0], gb[0], gw[1], gb[1]
 
 
 def bilstm_layer(x: np.ndarray, params: LstmParams) -> np.ndarray:

@@ -39,3 +39,34 @@ def randn(stream: Stream, shape) -> np.ndarray:
     """Deterministic standard-normal tensor from a seeded stream."""
     n = int(np.prod(shape))
     return stream.normal(n).reshape(shape)
+
+
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def lstm_reference(x, w_fw, b_fw, w_bw, b_bw) -> np.ndarray:
+    """Bidirectional LSTM over [T, D] in float64, one direction and one
+    step at a time, straight from the gate equations; returns [T, 2H].
+
+    Each direction's weight is [4H, D + H] (input columns, then state
+    columns; gate rows i, f, g, o); states start at zero and the second
+    direction walks time backwards.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = x.shape[0]
+    halves = []
+    for w, b, order in ((w_fw, b_fw, range(t)), (w_bw, b_bw, range(t - 1, -1, -1))):
+        hs = w.shape[0] // 4
+        h = np.zeros(hs)
+        c = np.zeros(hs)
+        out = np.zeros((t, hs))
+        for step in order:
+            z = w @ np.concatenate([x[step], h]) + b
+            i, f, o = _sigmoid(z[:hs]), _sigmoid(z[hs : 2 * hs]), _sigmoid(z[3 * hs :])
+            g = np.tanh(z[2 * hs : 3 * hs])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            out[step] = h
+        halves.append(out)
+    return np.concatenate(halves, axis=1)

@@ -93,6 +93,15 @@ class TestInfo:
     def test_unreadable_config_is_a_data_error(self, tmp_path):
         assert cli.main(["info", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_non_integer_extent_is_a_data_error(self, tmp_path, capsys):
+        """A fractional channel count is refused by name, not printed as shapes."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"enc_channels": 2.5, "visual_embed": 8}', encoding="utf-8")
+        assert cli.main(["info", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "enc_channels" in captured.err
+        assert captured.out == ""
+
 
 class TestGradcheckCommand:
     def test_prints_error_and_passes(self):

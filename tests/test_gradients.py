@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from avse import ops
-from avse.ops.rnn import LstmParams
+from avse.ops.rnn import LstmParams, bilstm_backward_batched, bilstm_forward_batched
 from avse.prng import Stream
 from avse.training import gradcheck
 from avse.training.gradcheck import grad_check
 
-from helpers import fd_grad, randn, rel_err
+from helpers import fd_grad, lstm_reference, randn, rel_err
 
 PER_OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
@@ -189,6 +189,39 @@ class TestPerOpFiniteDifferences:
             (gbb, lambda v: loss(x, p.w_fw, p.b_fw, p.w_bw, v), p.b_bw),
         ]
         for analytic, f, arg in pairs:
+            assert rel_err(fd_grad(f, arg), analytic) < PER_OP_TOL
+
+
+    @pytest.mark.parametrize("nb, t", [(1, 1), (1, 4), (3, 3)])
+    def test_batched_bilstm_against_reference(self, nb, t):
+        """bilstm_backward_batched gives the cotangents of the per-step
+        float64 reference, found by finite differences."""
+        d, h = 3, 2
+        stream = Stream(110 + 10 * nb + t)
+        p = LstmParams(
+            w_fw=0.4 * randn(stream, (4 * h, d + h)),
+            b_fw=0.4 * randn(stream, (4 * h,)),
+            w_bw=0.4 * randn(stream, (4 * h, d + h)),
+            b_bw=0.4 * randn(stream, (4 * h,)),
+        )
+        x = randn(stream, (nb, t, d))
+        gy = randn(stream, (nb, t, 2 * h))
+        _, cache = bilstm_forward_batched(x, p)
+        gx, gwf, gbf, gwb, gbb = bilstm_backward_batched(cache, gy)
+
+        def loss(x, wf, bf, wb, bb):
+            ys = [lstm_reference(x[r], wf, bf, wb, bb) for r in range(nb)]
+            return float((np.stack(ys) * gy).sum())
+
+        pairs = [
+            (gx, lambda v: loss(v, p.w_fw, p.b_fw, p.w_bw, p.b_bw), x),
+            (gwf, lambda v: loss(x, v, p.b_fw, p.w_bw, p.b_bw), p.w_fw),
+            (gbf, lambda v: loss(x, p.w_fw, v, p.w_bw, p.b_bw), p.b_fw),
+            (gwb, lambda v: loss(x, p.w_fw, p.b_fw, v, p.b_bw), p.w_bw),
+            (gbb, lambda v: loss(x, p.w_fw, p.b_fw, p.w_bw, v), p.b_bw),
+        ]
+        for analytic, f, arg in pairs:
+            assert analytic.shape == arg.shape
             assert rel_err(fd_grad(f, arg), analytic) < PER_OP_TOL
 
 

@@ -1,6 +1,9 @@
 """Network contracts: configuration validation, parameter tables and
 initialization, and the forward pipeline's shape and value laws."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,35 @@ class TestModelConfig:
     def test_rejects_odd_chunk_len(self):
         with pytest.raises(ConfigError, match="even"):
             scaled_config(default_config(), chunk_len=99)
+
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"enc_channels": 2.5, "visual_embed": 8}, "enc_channels"),
+            ({"sep_hidden": True}, "sep_hidden"),
+            ({"chunk_len": 100.0}, "chunk_len"),
+            ({"vfn_trunk_channels": [16, 32.0, 64, 128]}, "vfn_trunk_channels"),
+            ({"frame_hw": [32, True]}, "frame_hw"),
+            ({"frame_hw": 32}, "frame_hw"),
+            (
+                {"vfn_frontend": {"out_channels": True, "kernel": [5, 7, 7],
+                                  "stride": [1, 2, 2], "pad": [2, 3, 3]}},
+                "vfn_frontend.out_channels",
+            ),
+            (
+                {"vfn_frontend": {"out_channels": 16, "kernel": [5, 7, 7.5],
+                                  "stride": [1, 2, 2], "pad": [2, 3, 3]}},
+                "vfn_frontend.kernel",
+            ),
+        ],
+    )
+    def test_rejects_non_integer_extents(self, raw, field):
+        """A bool or non-integer count or extent is refused, naming the field."""
+        with pytest.raises(ConfigError, match=re.escape(field) + " must be"):
+            ModelConfig.from_json(json.dumps(raw))
+
+    def test_accepts_numpy_integers(self):
+        assert scaled_config(default_config(), sep_hidden=np.int64(64)).sep_hidden == 64
 
     def test_rejects_nonpositive_extents(self):
         with pytest.raises(ConfigError):

@@ -9,10 +9,10 @@ import pytest
 
 from avse import ops
 from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
-from avse.ops.rnn import LstmParams
+from avse.ops.rnn import LstmParams, bilstm_forward_batched
 from avse.prng import Stream
 
-from helpers import randn
+from helpers import lstm_reference, randn
 
 
 class TestConv1d:
@@ -192,6 +192,19 @@ class TestActivation:
             y = ops.activation("sigmoid", np.array([-800.0, 800.0, 0.0]))
         assert np.array_equal(y, [0.0, 1.0, 0.5])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_extremes_raise_nothing_and_keep_dtype(self, dtype):
+        x = np.array([-1e4, 1e4, 0.0], dtype=dtype)
+        with np.errstate(all="raise"):
+            y = ops.activation("sigmoid", x)
+        assert y.dtype == dtype
+        assert np.array_equal(y, [0.0, 1.0, 0.5])
+
+    def test_sigmoid_matches_logistic_formula(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        ref = 1.0 / (1.0 + np.exp(-x))
+        assert np.abs(ops.activation("sigmoid", x) / ref - 1.0).max() < 1e-15
+
     def test_tanh_is_odd(self):
         x = randn(Stream(14), (9,))
         assert np.allclose(
@@ -343,3 +356,45 @@ class TestBilstm:
         )
         with pytest.raises(EmptySequenceError):
             ops.bilstm_layer(np.zeros((0, 3)), p)
+
+
+def _random_lstm(stream, d, h, scale=0.5):
+    shapes = ((4 * h, d + h), (4 * h,), (4 * h, d + h), (4 * h,))
+    return LstmParams(*(scale * randn(stream, shape) for shape in shapes))
+
+
+class TestBilstmBatched:
+    @pytest.mark.parametrize("nb", [1, 3])
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    def test_matches_per_step_reference(self, nb, t):
+        d, h = 5, 3
+        stream = Stream(400 + 10 * nb + t)
+        p = _random_lstm(stream, d, h)
+        x = randn(stream, (nb, t, d))
+        y, _ = bilstm_forward_batched(x, p)
+        assert y.shape == (nb, t, 2 * h)
+        for row in range(nb):
+            ref = lstm_reference(x[row], p.w_fw, p.b_fw, p.w_bw, p.b_bw)
+            assert np.abs(y[row] - ref).max() < 1e-12
+
+    def test_batch_rows_equal_single_row_calls(self):
+        """Rows never mix: a batch of B gives what B one-row calls give
+        (up to float64 rounding, as BLAS may block each product differently)."""
+        stream = Stream(420)
+        p = _random_lstm(stream, 4, 3)
+        x = randn(stream, (5, 6, 4))
+        y, _ = bilstm_forward_batched(x, p)
+        rows = np.concatenate([bilstm_forward_batched(x[r : r + 1], p)[0] for r in range(5)])
+        assert np.abs(y - rows).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_without_cache_is_bit_identical(self, dtype):
+        stream = Stream(421)
+        p = _random_lstm(stream, 4, 3)
+        p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, p.b_fw, p.w_bw, p.b_bw)))
+        x = randn(stream, (3, 9, 4)).astype(dtype)
+        y_cached, cache = bilstm_forward_batched(x, p, keep_cache=True)
+        y_plain, none = bilstm_forward_batched(x, p, keep_cache=False)
+        assert none is None and cache["hidden_size"] == 3
+        assert y_plain.dtype == dtype
+        assert np.array_equal(y_cached, y_plain)
