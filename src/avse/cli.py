@@ -47,13 +47,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type for --scenes and --epochs: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="avse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("synth", help="generate synthetic scenes into a directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--scenes", type=int, default=4, help="number of scenes")
+    p.add_argument("--scenes", type=_count, default=4, help="number of scenes")
     p.add_argument("--seed", type=int, default=0, help="base seed; scene i uses seed+i")
     p.add_argument("--duration", type=float, default=3.0, help="scene length in seconds")
 
@@ -68,7 +79,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--data", help="directory containing manifest.jsonl")
     group.add_argument("--manifest", help="manifest file")
     p.add_argument("--config", help="model config JSON (default: full-size config)")
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output checkpoint path")
 

@@ -42,11 +42,6 @@ class Scene:
     snr_db: float
     sample_rate_hz: int
 
-    @property
-    def envelope_at_frames(self) -> np.ndarray:
-        """Mean intensity per frame; equals the target envelope at frame times."""
-        return self.frames.mean(axis=(1, 2, 3))
-
 
 def _envelope(stream: Stream, times: np.ndarray) -> np.ndarray:
     f1, f2 = stream.uniform(2, 2.0, 6.0)

@@ -1,38 +1,1 @@
 """Enhancement network: configuration, parameters, forward pass, gradients."""
-
-from avse.model.config import ConvSpec, ModelConfig
-from avse.model.network import (
-    apply_mask,
-    decode_audio,
-    encode_audio,
-    enhance,
-    fuse,
-    overlap_add,
-    segment_time,
-    separator_forward,
-    visual_forward,
-)
-from avse.model.params import (
-    ModelParams,
-    count_parameters,
-    init_parameters,
-    parameter_shapes,
-)
-
-__all__ = [
-    "ConvSpec",
-    "ModelConfig",
-    "ModelParams",
-    "parameter_shapes",
-    "init_parameters",
-    "count_parameters",
-    "encode_audio",
-    "visual_forward",
-    "fuse",
-    "separator_forward",
-    "apply_mask",
-    "decode_audio",
-    "enhance",
-    "segment_time",
-    "overlap_add",
-]

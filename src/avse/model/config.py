@@ -8,7 +8,7 @@ through JSON for the training CLI and for embedding in checkpoints.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,43 +26,14 @@ def _check_ints(name: str, values) -> None:
 
 
 @dataclass(frozen=True)
-class ConvSpec:
-    """Output channels, kernel, stride, and padding for one convolution
-    over a single input channel, with a bias."""
-
-    out_channels: int
-    kernel: tuple[int, ...]
-    stride: tuple[int, ...]
-    pad: tuple[int, ...]
-
-    def check(self, name: str) -> None:
-        if not _is_int(self.out_channels):
-            raise ConfigError(f"{name}.out_channels must be an integer, got {self.out_channels!r}")
-        for field_name in ("kernel", "stride", "pad"):
-            _check_ints(f"{name}.{field_name}", getattr(self, field_name))
-        if self.out_channels < 1:
-            raise ConfigError(f"{name}: output channels must be positive")
-        n = len(self.kernel)
-        if n not in (1, 3) or len(self.stride) != n or len(self.pad) != n:
-            raise ConfigError(f"{name}: kernel/stride/pad must share 1 or 3 extents")
-        if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
-            raise ConfigError(f"{name}: kernel and stride extents must be positive")
-        if any(p < 0 for p in self.pad):
-            raise ConfigError(f"{name}: padding must be non-negative")
-        if any(s > k for s, k in zip(self.stride, self.kernel)):
-            raise ConfigError(f"{name}: stride must not exceed kernel on any axis")
-
-
-def _default_frontend() -> ConvSpec:
-    return ConvSpec(16, (5, 7, 7), (1, 2, 2), (2, 3, 3))
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     """Every architectural hyperparameter of the enhancement network.
 
     The fusion bottleneck is as wide as the encoder and chunks overlap by
     half, so ``fusion_channels`` and ``chunk_hop`` are derived, not set.
+    The visual frontend is set by its kernel alone: it outputs the first
+    trunk stage's channels, and its stride and padding live in
+    ``model.network``.
     """
 
     sample_rate_hz: int = 16000
@@ -70,7 +41,7 @@ class ModelConfig:
     enc_kernel: int = 16
     enc_stride: int = 8
     visual_embed: int = 256
-    vfn_frontend: ConvSpec = field(default_factory=_default_frontend)
+    vfn_front_kernel: tuple[int, int, int] = (5, 7, 7)
     vfn_trunk_channels: tuple[int, ...] = (16, 32, 64, 128)
     vfn_blocks_per_stage: int = 2
     vfn_norm_groups: int = 8
@@ -110,22 +81,19 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         _check_ints("vfn_trunk_channels", self.vfn_trunk_channels)
         _check_ints("frame_hw", self.frame_hw)
+        _check_ints("vfn_front_kernel", self.vfn_front_kernel)
         if self.enc_stride > self.enc_kernel:
             raise ConfigError(
                 f"enc_stride {self.enc_stride} exceeds enc_kernel {self.enc_kernel}"
             )
         if self.chunk_len % 2 != 0:
             raise ConfigError(f"chunk_len must be even, got {self.chunk_len}")
-        self.vfn_frontend.check("vfn_frontend")
-        if len(self.vfn_frontend.kernel) != 3:
-            raise ConfigError("vfn_frontend must be a 3-D convolution")
+        # Odd extents, so the frontend's k // 2 padding keeps the frame count.
+        kernel = self.vfn_front_kernel
+        if len(kernel) != 3 or any(k < 1 or k % 2 == 0 for k in kernel):
+            raise ConfigError(f"vfn_front_kernel must be three positive odd extents, got {kernel}")
         if not self.vfn_trunk_channels:
             raise ConfigError("vfn_trunk_channels must be non-empty")
-        if self.vfn_frontend.out_channels != self.vfn_trunk_channels[0]:
-            raise ConfigError(
-                f"frontend output channels {self.vfn_frontend.out_channels} must match "
-                f"first trunk stage {self.vfn_trunk_channels[0]}"
-            )
         for c in self.vfn_trunk_channels:
             if c < 1:
                 raise ConfigError("trunk channel counts must be positive")
@@ -173,24 +141,8 @@ class ModelConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "vfn_frontend" in kwargs:
-            fr = kwargs["vfn_frontend"]
-            if not isinstance(fr, dict):
-                raise ConfigError("vfn_frontend must be an object")
-            spec_known = set(ConvSpec.__dataclass_fields__)
-            spec_unknown = set(fr) - spec_known
-            if spec_unknown:
-                raise ConfigError(f"unknown vfn_frontend fields: {sorted(spec_unknown)}")
-            kwargs["vfn_frontend"] = {
-                k: tuple(v) if isinstance(v, list) else v for k, v in fr.items()
-            }
-        for key in ("vfn_trunk_channels", "frame_hw"):
-            if key in kwargs and isinstance(kwargs[key], list):
-                kwargs[key] = tuple(kwargs[key])
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         try:
-            if "vfn_frontend" in kwargs:
-                kwargs["vfn_frontend"] = ConvSpec(**kwargs["vfn_frontend"])
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
@@ -210,7 +162,7 @@ def tiny_config() -> ModelConfig:
     return ModelConfig(
         enc_channels=8,
         visual_embed=8,
-        vfn_frontend=ConvSpec(2, (3, 5, 5), (1, 2, 2), (1, 2, 2)),
+        vfn_front_kernel=(3, 5, 5),
         vfn_trunk_channels=(2, 4),
         vfn_blocks_per_stage=1,
         vfn_norm_groups=2,

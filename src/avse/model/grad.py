@@ -14,6 +14,7 @@ import numpy as np
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.model.network import (
+    FRONT_STRIDE,
     _fold,
     encode_audio_fwd,
     fuse_fwd,
@@ -23,6 +24,7 @@ from avse.model.network import (
     visual_forward_fwd,
 )
 from avse.ops import (
+    activation_vjp,
     conv1d_vjp,
     conv3d_vjp,
     conv_transpose1d,
@@ -55,64 +57,32 @@ def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig):
         "vis": vis_cache,
         "fuse": fuse_cache,
         "sep": sep_cache,
-        "v": v,
     }
     return dec_out[0][:t], cache
 
 
-def _trunk_block_bwd(cache, params, config, g_out, grads):
-    base = cache["base"]
-    s = cache["stride"]
-    groups = config.vfn_norm_groups  # norms keep the frame axis of [C, F, H, W]
-    g_total = g_out * (cache["total"] > 0)
-    g_pre2, ggamma, gbeta = group_norm_vjp(
-        cache["pre2"],
-        groups,
-        params[f"{base}.gn2.gamma"],
-        params[f"{base}.gn2.beta"],
-        g_total,
-        keep_axes=(1,),
+def _conv_norm_bwd(unit, params, config, g, grads):
+    """Adjoint of network._conv_norm_fwd, read from its cache entry."""
+    x, pre, conv, norm, stride, pad = unit
+    gamma, beta = params[f"{norm}.gamma"], params[f"{norm}.beta"]
+    g_pre, ggamma, gbeta = group_norm_vjp(
+        pre, config.vfn_norm_groups, gamma, beta, g, keep_axes=(1,)
     )
-    grads[f"{base}.gn2.gamma"] += ggamma
-    grads[f"{base}.gn2.beta"] += gbeta
-    g_h1, gw2, _ = conv3d_vjp(
-        cache["h1"], params[f"{base}.conv2.w"], None, g_pre2, stride=(1, 1, 1), pad=(0, 1, 1)
-    )
-    grads[f"{base}.conv2.w"] += gw2
-    g_n1 = g_h1 * (cache["n1"] > 0)
-    g_pre1, ggamma, gbeta = group_norm_vjp(
-        cache["pre1"],
-        groups,
-        params[f"{base}.gn1.gamma"],
-        params[f"{base}.gn1.beta"],
-        g_n1,
-        keep_axes=(1,),
-    )
-    grads[f"{base}.gn1.gamma"] += ggamma
-    grads[f"{base}.gn1.beta"] += gbeta
-    g_x, gw1, _ = conv3d_vjp(
-        cache["x"], params[f"{base}.conv1.w"], None, g_pre1, stride=(1, s, s), pad=(0, 1, 1)
-    )
-    grads[f"{base}.conv1.w"] += gw1
-    if s != 1:
-        g_pre_sc, ggamma, gbeta = group_norm_vjp(
-            cache["pre_sc"],
-            groups,
-            params[f"{base}.proj_gn.gamma"],
-            params[f"{base}.proj_gn.beta"],
-            g_total,
-            keep_axes=(1,),
-        )
-        grads[f"{base}.proj_gn.gamma"] += ggamma
-        grads[f"{base}.proj_gn.beta"] += gbeta
-        g_x_sc, gwp, _ = conv3d_vjp(
-            cache["x"], params[f"{base}.proj.w"], None, g_pre_sc, stride=(1, s, s), pad=0
-        )
-        grads[f"{base}.proj.w"] += gwp
-        g_x += g_x_sc
-    else:
-        g_x += g_total
+    grads[f"{norm}.gamma"] += ggamma
+    grads[f"{norm}.beta"] += gbeta
+    g_x, gw, _ = conv3d_vjp(x, params[f"{conv}.w"], None, g_pre, stride=stride, pad=pad)
+    grads[f"{conv}.w"] += gw
     return g_x
+
+
+def _trunk_block_bwd(cache, params, config, g_out, grads):
+    g_total = activation_vjp("relu", cache["total"], g_out)
+    g_h1 = _conv_norm_bwd(cache["conv2"], params, config, g_total, grads)
+    g_n1 = activation_vjp("relu", cache["n1"], g_h1)
+    g_x = _conv_norm_bwd(cache["conv1"], params, config, g_n1, grads)
+    if cache["shortcut"] is None:
+        return g_x + g_total
+    return g_x + _conv_norm_bwd(cache["shortcut"], params, config, g_total, grads)
 
 
 def _visual_bwd(cache, params, config, g_v, grads):
@@ -124,15 +94,14 @@ def _visual_bwd(cache, params, config, g_v, grads):
     g_h = np.broadcast_to(g_feats.T[:, :, None, None] / (h * w), (c, f, h, w)).copy()
     for block in reversed(cache["blocks"]):
         g_h = _trunk_block_bwd(block, params, config, g_h, grads)
-    fr = config.vfn_frontend
-    g_pre = g_h * (cache["pre_front"] > 0)
+    g_pre = activation_vjp("relu", cache["pre_front"], g_h)
     _, gw, gb = conv3d_vjp(
         cache["frames_x"],
         params["vfn.front.w"],
         params["vfn.front.b"],
         g_pre,
-        stride=fr.stride,
-        pad=fr.pad,
+        stride=FRONT_STRIDE,
+        pad=cache["front_pad"],
     )
     grads["vfn.front.w"] += gw
     grads["vfn.front.b"] += gb
@@ -172,7 +141,7 @@ def _separator_bwd(cache, params, config, g_mask, grads):
     grads["mask.b"] += gb
     # Adjoint of overlap_add: halve the twice-covered positions, then segment.
     hop = config.chunk_hop
-    g_mask_in[:, hop : cache["chunks"].shape[0] * hop] /= 2
+    g_mask_in[:, hop : cache["n_chunks"] * hop] /= 2
     g_chunks = segment_time(g_mask_in, config.chunk_len, hop)
     for unit in reversed(cache["units"]):
         g_inter_out = np.ascontiguousarray(g_chunks.transpose(1, 0, 2))
@@ -184,7 +153,7 @@ def _separator_bwd(cache, params, config, g_mask, grads):
 
 
 def _fuse_bwd(cache, params, config, g_f, grads):
-    g_pre = g_f * (cache["pre"] > 0)
+    g_pre = activation_vjp("relu", cache["pre"], g_f)
     g_cat, gw, gb = conv1d_vjp(cache["cat"], params["fusion.w"], params["fusion.b"], g_pre)
     grads["fusion.w"] += gw
     grads["fusion.b"] += gb
@@ -213,8 +182,7 @@ def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> Model
     g_a2, g_v = _fuse_bwd(cache["fuse"], params, config, g_f, grads)
     g_a = g_a + g_a2
     _visual_bwd(cache["vis"], params, config, g_v, grads)
-    enc_pre = cache["enc"]["pre"]
-    g_enc_pre = g_a * (enc_pre > 0)
+    g_enc_pre = activation_vjp("relu", cache["enc"]["pre"], g_a)
     _, gw, gb = conv1d_vjp(
         cache["enc"]["wave"][None],
         params["enc.w"],

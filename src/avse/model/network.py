@@ -49,45 +49,38 @@ def encode_audio_fwd(wave, params, config):
     return activation("relu", pre), {"wave": wave, "pre": pre}
 
 
-def _trunk_block_fwd(x, params, base, stride, config):
-    """One residual block; downsampling blocks carry a projection shortcut."""
-    s = stride
-    groups = config.vfn_norm_groups  # norms keep the frame axis of [C, F, H, W]
-    pre1 = conv3d(x, params[f"{base}.conv1.w"], None, stride=(1, s, s), pad=(0, 1, 1))
-    n1 = group_norm(
-        pre1, groups, params[f"{base}.gn1.gamma"], params[f"{base}.gn1.beta"], keep_axes=(1,)
+# The frontend keeps the frame count and halves H and W; its padding is
+# half its (odd) kernel on every axis.
+FRONT_STRIDE = (1, 2, 2)
+
+
+def _conv_norm_fwd(x, params, conv, norm, stride, pad, config):
+    """Bias-free 3-D convolution, then a group norm that keeps the frame
+    axis of [C, F, H, W].  The cache entry carries the unit's geometry."""
+    pre = conv3d(x, params[f"{conv}.w"], None, stride=stride, pad=pad)
+    gamma, beta = params[f"{norm}.gamma"], params[f"{norm}.beta"]
+    out = group_norm(pre, config.vfn_norm_groups, gamma, beta, keep_axes=(1,))
+    return out, (x, pre, conv, norm, stride, pad)
+
+
+def _trunk_block_fwd(x, params, base, s, config):
+    """One residual block; downsampling blocks (s != 1) carry a
+    projection shortcut."""
+    n1, unit1 = _conv_norm_fwd(
+        x, params, f"{base}.conv1", f"{base}.gn1", (1, s, s), (0, 1, 1), config
     )
     h1 = activation("relu", n1)
-    pre2 = conv3d(h1, params[f"{base}.conv2.w"], None, stride=(1, 1, 1), pad=(0, 1, 1))
-    n2 = group_norm(
-        pre2, groups, params[f"{base}.gn2.gamma"], params[f"{base}.gn2.beta"], keep_axes=(1,)
+    n2, unit2 = _conv_norm_fwd(
+        h1, params, f"{base}.conv2", f"{base}.gn2", (1, 1, 1), (0, 1, 1), config
     )
+    sc, shortcut = x, None
     if s != 1:
-        pre_sc = conv3d(x, params[f"{base}.proj.w"], None, stride=(1, s, s), pad=0)
-        sc = group_norm(
-            pre_sc,
-            groups,
-            params[f"{base}.proj_gn.gamma"],
-            params[f"{base}.proj_gn.beta"],
-            keep_axes=(1,),
+        sc, shortcut = _conv_norm_fwd(
+            x, params, f"{base}.proj", f"{base}.proj_gn", (1, s, s), 0, config
         )
-    else:
-        pre_sc = None
-        sc = x
     total = n2 + sc
     out = activation("relu", total)
-    cache = {
-        "x": x,
-        "pre1": pre1,
-        "n1": n1,
-        "h1": h1,
-        "pre2": pre2,
-        "pre_sc": pre_sc,
-        "total": total,
-        "base": base,
-        "stride": s,
-    }
-    return out, cache
+    return out, {"conv1": unit1, "n1": n1, "conv2": unit2, "shortcut": shortcut, "total": total}
 
 
 def visual_forward(frames: np.ndarray, params: ModelParams, config: ModelConfig) -> np.ndarray:
@@ -101,10 +94,10 @@ def visual_forward_fwd(frames, params, config):
         raise ShapeError(f"frames must be [F, 1, H, W], got shape {frames.shape}")
     if frames.shape[0] < 1:
         raise EmptySequenceError("frame sequence is empty")
-    fr = config.vfn_frontend
     x = frames[:, 0][None]  # [1, F, H, W]
+    pad = tuple(k // 2 for k in config.vfn_front_kernel)
     pre_front = conv3d(
-        x, params["vfn.front.w"], params["vfn.front.b"], stride=fr.stride, pad=fr.pad
+        x, params["vfn.front.w"], params["vfn.front.b"], stride=FRONT_STRIDE, pad=pad
     )
     h = activation("relu", pre_front)
     blocks = []
@@ -119,6 +112,7 @@ def visual_forward_fwd(frames, params, config):
     cache = {
         "frames_x": x,
         "pre_front": pre_front,
+        "front_pad": pad,
         "blocks": blocks,
         "trunk_out_shape": h.shape,
         "feats": feats,
@@ -215,7 +209,7 @@ def _sep_path_fwd(x, params, base, keep_cache=True):
     out = x + np.moveaxis(normed, 0, -1)
     if not keep_cache:
         return out, None
-    cache = {"x": x, "lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base}
+    cache = {"lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base}
     return out, cache
 
 
@@ -244,7 +238,13 @@ def separator_forward_fwd(fused, params, config, keep_cache=True):
     mask = activation("sigmoid", pre)
     if not keep_cache:
         return mask, None
-    cache = {"t_a": t_a, "units": units, "chunks": chunks, "mask_in": mask_in, "pre": pre, "mask": mask}
+    cache = {
+        "t_a": t_a,
+        "units": units,
+        "n_chunks": chunks.shape[0],
+        "mask_in": mask_in,
+        "mask": mask,
+    }
     return mask, cache
 
 

@@ -51,12 +51,6 @@ class ModelParams:
     def items(self):
         return self.tensors.items()
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams({k: v.astype(dtype) for k, v in self.tensors.items()})
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()})
-
     def zeros_like(self) -> "ModelParams":
         return ModelParams({k: np.zeros_like(v) for k, v in self.tensors.items()})
 
@@ -67,7 +61,7 @@ class ModelParams:
 def _trunk_stages(config: ModelConfig) -> list[tuple[int, int]]:
     """(in_channels, out_channels) per trunk stage."""
     chans = config.vfn_trunk_channels
-    ins = (config.vfn_frontend.out_channels,) + chans[:-1]
+    ins = (chans[0],) + chans[:-1]  # the frontend outputs chans[0]
     return list(zip(ins, chans))
 
 
@@ -77,14 +71,14 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     n = config.enc_channels
     k = config.enc_kernel
     dv = config.visual_embed
-    fr = config.vfn_frontend
     c_fuse = config.fusion_channels
     h = config.sep_hidden
     shapes: dict[str, tuple[int, ...]] = {}
     shapes["enc.w"] = (n, 1, k)
     shapes["enc.b"] = (n,)
-    shapes["vfn.front.w"] = (fr.out_channels, 1) + fr.kernel
-    shapes["vfn.front.b"] = (fr.out_channels,)
+    c_front = config.vfn_trunk_channels[0]
+    shapes["vfn.front.w"] = (c_front, 1) + config.vfn_front_kernel
+    shapes["vfn.front.b"] = (c_front,)
     for i, (c_in, c_out) in enumerate(_trunk_stages(config)):
         for j in range(config.vfn_blocks_per_stage):
             base = f"vfn.trunk.s{i}.b{j}"

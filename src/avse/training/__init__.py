@@ -1,21 +1,1 @@
 """Loss, optimizer, training loop, gradient checking, checkpoints."""
-
-from avse.training.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from avse.training.gradcheck import grad_check
-from avse.training.loop import train, train_scenes
-from avse.training.loss import si_sdr_loss, si_sdr_loss_vjp
-from avse.training.optimizer import OptimizerState, adam_step, init_optimizer
-
-__all__ = [
-    "si_sdr_loss",
-    "si_sdr_loss_vjp",
-    "OptimizerState",
-    "init_optimizer",
-    "adam_step",
-    "Checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
-    "grad_check",
-    "train",
-    "train_scenes",
-]

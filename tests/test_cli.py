@@ -61,6 +61,21 @@ class TestUsage:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_train_rejects_non_positive_epochs(self, value, capsys, tmp_path):
+        out = tmp_path / "m.avck"
+        code = cli.main(["train", "--data", str(tmp_path), "--epochs", value, "--out", str(out)])
+        assert code == 1
+        assert "--epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_synth_rejects_non_positive_scenes(self, value, capsys, tmp_path):
+        out = tmp_path / "scenes"
+        assert cli.main(["synth", "--out", str(out), "--scenes", value]) == 1
+        assert "--scenes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_failures_never_exit_two(self, capsys):
         # argparse's native behavior is SystemExit(2); 2 is reserved for
         # data errors here.

@@ -9,7 +9,6 @@ import pytest
 
 from avse.errors import ConfigError, InputTooShortError, ShapeError
 from avse.model.config import (
-    ConvSpec,
     ModelConfig,
     default_config,
     scaled_config,
@@ -25,6 +24,7 @@ from avse.model.network import (
     segment_time,
     separator_forward,
     visual_forward,
+    visual_forward_fwd,
 )
 from avse.model.params import count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
@@ -76,21 +76,25 @@ class TestModelConfig:
             ({"vfn_trunk_channels": [16, 32.0, 64, 128]}, "vfn_trunk_channels"),
             ({"frame_hw": [32, True]}, "frame_hw"),
             ({"frame_hw": 32}, "frame_hw"),
-            (
-                {"vfn_frontend": {"out_channels": True, "kernel": [5, 7, 7],
-                                  "stride": [1, 2, 2], "pad": [2, 3, 3]}},
-                "vfn_frontend.out_channels",
-            ),
-            (
-                {"vfn_frontend": {"out_channels": 16, "kernel": [5, 7, 7.5],
-                                  "stride": [1, 2, 2], "pad": [2, 3, 3]}},
-                "vfn_frontend.kernel",
-            ),
+            ({"vfn_front_kernel": [5, True, 7]}, "vfn_front_kernel"),
+            ({"vfn_front_kernel": [5, 7, 7.5]}, "vfn_front_kernel"),
+            ({"vfn_front_kernel": [5, 7]}, "vfn_front_kernel"),
+            ({"vfn_front_kernel": [1, 5, 7, 7]}, "vfn_front_kernel"),
+            ({"vfn_front_kernel": [4, 7, 7]}, "vfn_front_kernel"),  # k // 2 pads odd k only
         ],
     )
     def test_rejects_non_integer_extents(self, raw, field):
-        """A bool or non-integer count or extent is refused, naming the field."""
+        """A bool, non-integer or malformed count or extent is refused,
+        naming the field."""
         with pytest.raises(ConfigError, match=re.escape(field) + " must be"):
+            ModelConfig.from_json(json.dumps(raw))
+
+    def test_rejects_the_old_frontend_object(self):
+        """The frontend is set by its kernel alone; the former nested
+        object is an unknown field."""
+        raw = {"vfn_frontend": {"out_channels": 16, "kernel": [5, 7, 7],
+                                "stride": [1, 2, 2], "pad": [2, 3, 3]}}
+        with pytest.raises(ConfigError, match="vfn_frontend"):
             ModelConfig.from_json(json.dumps(raw))
 
     def test_accepts_numpy_integers(self):
@@ -223,6 +227,14 @@ class TestVisualForward:
             frames = randn(Stream(32), (f, 1, 16, 16))
             v = visual_forward(frames, params, config)
             assert v.shape == (f, config.visual_embed)
+
+    def test_frontend_keeps_frames_and_halves_height_and_width(self):
+        for config in (tiny_config(), default_config()):
+            params = init_parameters(config, 0)
+            h, w = config.frame_hw
+            for f in (1, 5):
+                _, cache = visual_forward_fwd(randn(Stream(35), (f, 1, h, w)), params, config)
+                assert cache["pre_front"].shape == (config.vfn_trunk_channels[0], f, h // 2, w // 2)
 
     def test_default_embedding_dimension(self):
         config = default_config()
