@@ -144,10 +144,8 @@ def _separator_bwd(cache, params, config, g_mask, grads):
     g_mask_in[:, hop : cache["n_chunks"] * hop] /= 2
     g_chunks = segment_time(g_mask_in, config.chunk_len, hop)
     for unit in reversed(cache["units"]):
-        g_inter_out = np.ascontiguousarray(g_chunks.transpose(1, 0, 2))
-        g_swapped = _sep_path_bwd(unit["inter"], params, g_inter_out, grads)
-        g_intra_out = np.ascontiguousarray(g_swapped.transpose(1, 0, 2))
-        g_chunks = _sep_path_bwd(unit["intra"], params, g_intra_out, grads)
+        g_swapped = _sep_path_bwd(unit["inter"], params, g_chunks.transpose(1, 0, 2), grads)
+        g_chunks = _sep_path_bwd(unit["intra"], params, g_swapped.transpose(1, 0, 2), grads)
     # Adjoint of segment_time: sum the overlapping halves, drop the padding.
     return _fold(g_chunks)[:, : cache["t_a"]]
 

@@ -198,7 +198,8 @@ def _unit_lstm(params: ModelParams, base: str) -> LstmParams:
 
 def _sep_path_fwd(x, params, base, keep_cache=True):
     """One dual-path half: BiLSTM over axis 1 of [B, T, C], projection,
-    chunk-wide norm, residual.  Caller transposes to pick the axis."""
+    chunk-wide norm, residual.  Caller transposes to pick the axis; any
+    strided view will do."""
     lstm = _unit_lstm(params, base)
     y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache)
     proj = linear(y, params[f"{base}.proj.w"], params[f"{base}.proj.b"])
@@ -229,9 +230,9 @@ def separator_forward_fwd(fused, params, config, keep_cache=True):
     units = []
     for u in range(config.sep_units):
         intra_out, intra_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.intra", keep_cache)
-        swapped = np.ascontiguousarray(intra_out.transpose(1, 0, 2))  # [P, Q, C]
+        swapped = intra_out.transpose(1, 0, 2)  # [P, Q, C], a view
         inter_out, inter_cache = _sep_path_fwd(swapped, params, f"sep.u{u}.inter", keep_cache)
-        chunks = np.ascontiguousarray(inter_out.transpose(1, 0, 2))
+        chunks = inter_out.transpose(1, 0, 2)
         units.append({"intra": intra_cache, "inter": inter_cache})
     mask_in = overlap_add(chunks, config.chunk_hop, t_a)
     pre = conv1d(mask_in, params["mask.w"], params["mask.b"])

@@ -8,11 +8,27 @@ backward direction runs the same cell on the time-reversed sequence.
 
 Both directions run in one loop over [B, T, D], stacked on a leading
 axis of 2: step s reads and writes time s for the forward direction and
-time T-1-s for the backward one, so nothing is reversed by copying.
+time T-1-s for the backward one, so nothing is reversed by copying.  The
+input may be any strided view, such as a transposed [T, B, D] array.
+
 Each step is one GEMM of the rows [x_t, 1, h] by both directions'
-[W_x, b, W_h] and one sigmoid over every gate; the gate and cell records
-are kept in step order, gate-major ([T, 4, 2, B, H]).  The backward pass
-walks the same steps in reverse.
+[W_x, b, W_h] and one tanh over every gate.  For that the forward
+repacks the gate blocks as i, f, o, g and halves the i, f and o rows,
+bias included (exact in binary floating point): then
+sigmoid(z) = 1/2 + 1/2 tanh(z/2) for the first three blocks is one
+in-place multiply-add on the tanh slab, and the cell gate keeps its
+tanh.  SciPy's ``expit`` is several times slower per element than
+NumPy's tanh.  ``activation("sigmoid")`` in ``ops/dense.py`` keeps
+``expit`` all the same: 1/2 + 1/2 tanh(z/2) loses relative accuracy
+where the sigmoid saturates towards 0, and that function is held to
+1e-15 of the logistic formula for |z| <= 30.
+
+The gate and cell records are kept in step order, gate-major and packed
+([T, 4, 2, B, H], blocks i, f, o, g).  The backward pass walks the same
+steps in reverse, in blocks of as many steps as fit BLOCK_BYTES of gate
+records: each block's coefficients, step rows [x_t, 1, h_prev], gate
+cotangents and its input and weight cotangent products stay in cache,
+and nothing sized by all T steps is built besides the output.
 """
 
 from __future__ import annotations
@@ -20,9 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from avse.errors import EmptySequenceError, ShapeError
+
+# Packed gate blocks: i, f, o, g from the stored i, f, g, o.
+PACKED = [0, 1, 3, 2]
+BLOCK_BYTES = 1 << 21
 
 
 @dataclass
@@ -60,8 +79,8 @@ def bilstm_forward_batched(
     """Both directions over [B, T, D]; returns ([B, T, 2H], cache).
 
     With keep_cache=False the gate and cell records that only the
-    backward pass reads are never stored.  The cache holds the returned
-    output itself, which must not be written to.
+    backward pass reads are never stored.  The cache holds the input and
+    the returned output themselves, which must not be written to.
     """
     if x.ndim != 3:
         raise ShapeError(f"batched BiLSTM input must be [B, T, D], got shape {x.shape}")
@@ -76,15 +95,16 @@ def bilstm_forward_batched(
     hs = params.hidden_size
     # One dtype (NumPy's own promotion) keeps every matmul on the BLAS path.
     ct = np.result_type(x.dtype, params.w_fw.dtype)
-    x = np.ascontiguousarray(x, dtype=ct)
+    x = x.astype(ct, copy=False)
     w, b = np.stack([params.w_fw, params.w_bw]), np.stack([params.b_fw, params.b_bw])
     wb = np.concatenate([w[:, :, :d], b[:, :, None], w[:, :, d:]], axis=2).astype(ct, copy=False)
-    # [4, 2, D+1+H, H]: the product lands as one [B, H] block per gate and direction.
-    w_t = np.ascontiguousarray(wb.reshape(2, 4, hs, -1).transpose(1, 0, 3, 2))
+    # [4, 2, D+1+H, H], packed i, f, o, g with the sigmoid rows halved: the
+    # product lands as one [B, H] block per gate and direction.
+    w_t = wb.reshape(2, 4, hs, -1)[:, PACKED].transpose(1, 0, 3, 2).copy()
+    w_t[:3] *= 0.5
     xh = np.zeros((2, nb, d + 1 + hs), dtype=ct)
     xh[:, :, d] = 1
     h = xh[:, :, d + 1 :]  # the state is written in place, next to the next input
-    z = np.empty((4, 2, nb, hs), dtype=ct)
     tmp = np.empty((2, nb, hs), dtype=ct)
     y = np.empty((nb, t, 2 * hs), dtype=ct)
     # Records of every step, cell states from the zero state on; without a
@@ -96,14 +116,16 @@ def bilstm_forward_batched(
         c_prev, c = cells[s % len(cells)], cells[(s + 1) % len(cells)]
         xh[0, :, :d] = x[:, s]
         xh[1, :, :d] = x[:, t - 1 - s]
-        np.matmul(xh, w_t, out=z)
-        expit(z, out=g)
-        np.tanh(z[2], out=g[2])  # the cell gate takes tanh, not the sigmoid
+        np.matmul(xh, w_t, out=g)
+        np.tanh(g, out=g)
+        sig = g[:3]
+        sig *= 0.5
+        sig += 0.5
         np.multiply(g[1], c_prev, out=c)
-        np.multiply(g[0], g[2], out=tmp)
+        np.multiply(g[0], g[3], out=tmp)
         c += tmp
         np.tanh(c, out=tmp)
-        np.multiply(g[3], tmp, out=h)
+        np.multiply(g[2], tmp, out=h)
         y[:, s, :hs] = h[0]
         y[:, t - 1 - s, hs:] = h[1]
     if not keep_cache:
@@ -119,52 +141,70 @@ def bilstm_backward_batched(
     hs = cache["hidden_size"]
     nb, t, d = x.shape
     ct = gates.dtype
-    # Everything that needs only the forward records, for all steps at
-    # once: dz of the i, f and g gates is dc times coef, dz of the o gate
-    # is dh times coef, and dc gains dh times dc_dh.
-    gi, gf, gg, go = gates.transpose(1, 0, 2, 3, 4)
-    coef = np.empty_like(gates)
-    ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
-    tc = np.tanh(cells[1:])
-    np.multiply(gi * (1 - gi), gg, out=ci)
-    np.multiply(gf * (1 - gf), cells[:-1], out=cf)
-    np.multiply(1 - gg * gg, gi, out=cg)
-    np.multiply(go * (1 - go), tc, out=co)
-    dc_dh = go * (1 - tc * tc)
-    gh = np.empty((t, 2, nb, hs), dtype=ct)  # output cotangent in step order
-    gh[:, 0] = gy[:, :, :hs].transpose(1, 0, 2)
-    gh[:, 1] = gy[:, ::-1, hs:].transpose(1, 0, 2)
+    # Gate cotangents dz follow the stored i, f, g, o order, so the
+    # products below take wb as it is.
+    wx = np.ascontiguousarray(wb[:, :, :d])  # [2, 4H, D]
     wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [2, 4H, H]
-    dz_all = np.empty((2, t, nb, 4 * hs), dtype=ct)  # in step order
-    dz_gates = dz_all.reshape(2, t, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [T, 4, 2, B, H]
+    k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
+    coef = np.empty((k, 4, 2, nb, hs), dtype=ct)
+    ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
+    gh = np.empty((k, 2, nb, hs), dtype=ct)  # output cotangent in step order
+    dz = np.empty((2, k, nb, 4 * hs), dtype=ct)
+    dz_gates = dz.reshape(2, k, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [k, 4, 2, B, H]
+    xh = np.empty((2, k, nb, d + 1 + hs), dtype=ct)  # step rows [x_t, 1, h_prev]
+    xh[:, :, :, d] = 1
+    gx = np.zeros((t, nb, d), dtype=ct)  # time-major; returned as a [B, T, D] view
+    gwb = np.zeros_like(wb)
     dh = np.zeros((2, nb, hs), dtype=ct)
     dc = np.zeros((2, nb, hs), dtype=ct)
     tmp = np.empty((2, nb, hs), dtype=ct)
-    for s in range(t - 1, -1, -1):
-        dh += gh[s]
-        np.multiply(dh, dc_dh[s], out=tmp)
-        dc += tmp
-        np.multiply(coef[s, :3], dc, out=dz_gates[s, :3])
-        np.multiply(coef[s, 3], dh, out=dz_gates[s, 3])
-        dc *= gf[s]
-        np.matmul(dz_all[:, s], wh, out=dh)
-    dz_rows = dz_all.reshape(2, t * nb, 4 * hs)
-    # Input cotangent: the backward direction's step s is time T-1-s.
-    gx_steps = np.matmul(dz_rows, wb[:, :, :d]).reshape(2, t, nb, d)
-    gx = np.empty((nb, t, d), dtype=ct)
-    np.add(gx_steps[0].transpose(1, 0, 2), gx_steps[1, ::-1].transpose(1, 0, 2), out=gx)
-    # Weight and bias cotangents: dz against each direction's step rows
-    # [x_t, 1, h_prev], rebuilt in step order.
-    xh = np.zeros((2, t, nb, d + 1 + hs), dtype=ct)
-    xh[0, :, :, :d] = x.transpose(1, 0, 2)
-    xh[1, :, :, :d] = x[:, ::-1].transpose(1, 0, 2)
-    xh[:, :, :, d] = 1
-    xh[0, 1:, :, d + 1 :] = y[:, :-1, :hs].transpose(1, 0, 2)
-    xh[1, 1:, :, d + 1 :] = y[:, :0:-1, hs:].transpose(1, 0, 2)
-    gwb = np.matmul(dz_rows.transpose(0, 2, 1), xh.reshape(2, t * nb, -1))
+    for s1 in range(t, 0, -k):
+        s0 = max(0, s1 - k)
+        n = s1 - s0
+        # Everything that needs only the forward records, for the whole
+        # block: dz of the i, f and g gates is dc times coef, dz of the o
+        # gate is dh times coef, and dc gains dh times dc_dh.
+        gi, gf, go, gg = gates[s0:s1].transpose(1, 0, 2, 3, 4)
+        tc = np.tanh(cells[s0 + 1 : s1 + 1])
+        for c, gate, other in ((ci, gi, gg), (cf, gf, cells[s0:s1]), (co, go, tc)):
+            np.subtract(1, gate, out=c[:n])  # sigmoid' = gate * (1 - gate)
+            c[:n] *= gate
+            c[:n] *= other
+        np.multiply(gg, gg, out=cg[:n])
+        np.subtract(1, cg[:n], out=cg[:n])
+        cg[:n] *= gi
+        dc_dh = np.square(tc, out=tc)  # tc is not read again
+        np.subtract(1, dc_dh, out=dc_dh)
+        dc_dh *= go
+        # The backward direction's step s is time T-1-s.
+        gh[:n, 0] = gy[:, s0:s1, :hs].transpose(1, 0, 2)
+        gh[:n, 1] = gy[:, t - s1 : t - s0, hs:][:, ::-1].transpose(1, 0, 2)
+        for j in range(n - 1, -1, -1):
+            dh += gh[j]
+            np.multiply(dh, dc_dh[j], out=tmp)
+            dc += tmp
+            np.multiply(coef[j, :3], dc, out=dz_gates[j, :3])
+            np.multiply(coef[j, 3], dh, out=dz_gates[j, 3])
+            dc *= gf[j]
+            np.matmul(dz[:, j], wh, out=dh)
+        dz_rows = dz[:, :n].reshape(2, n * nb, 4 * hs)
+        gx_steps = np.matmul(dz_rows, wx).reshape(2, n, nb, d)
+        gx[s0:s1] += gx_steps[0]
+        gx[t - s1 : t - s0] += gx_steps[1, ::-1]
+        # Weight and bias cotangents: dz against the block's step rows;
+        # the first step's previous state is zero.
+        xh[0, :n, :, :d] = x[:, s0:s1].transpose(1, 0, 2)
+        xh[1, :n, :, :d] = x[:, t - s1 : t - s0][:, ::-1].transpose(1, 0, 2)
+        lo = max(s0, 1)
+        xh[0, lo - s0 : n, :, d + 1 :] = y[:, lo - 1 : s1 - 1, :hs].transpose(1, 0, 2)
+        h_bw = y[:, t - s1 + 1 : t - lo + 1, hs:]
+        xh[1, lo - s0 : n, :, d + 1 :] = h_bw[:, ::-1].transpose(1, 0, 2)
+        if s0 == 0:
+            xh[:, 0, :, d + 1 :] = 0
+        gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(2, n * nb, -1))
     gw = np.delete(gwb, d, axis=2)
     gb = gwb[:, :, d]
-    return gx, gw[0], gb[0], gw[1], gb[1]
+    return gx.transpose(1, 0, 2), gw[0], gb[0], gw[1], gb[1]
 
 
 def bilstm_layer(x: np.ndarray, params: LstmParams) -> np.ndarray:

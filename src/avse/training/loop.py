@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from avse.errors import DataError, NumericError
+from avse.errors import ConfigError, DataError, NumericError
 from avse.data.manifest import ManifestEntry
 from avse.data.mixer import mix_scene
 from avse.data.synth import Scene
@@ -66,6 +66,8 @@ def train_scenes(
     log_path=None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Train on in-memory scenes; returns (checkpoint, per-epoch log records)."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not scenes:
         raise DataError("training needs at least one scene")
     root = Stream(seed)

@@ -1,8 +1,15 @@
-"""Shared test utilities: finite differences and relative error."""
+"""Shared test utilities: finite differences, relative error, the per-step
+BiLSTM reference and the pinned golden case."""
 
 import numpy as np
 
+from avse.data.mixer import mix_scene
+from avse.data.synth import synth_scene
+from avse.model.config import tiny_config
+from avse.model.grad import enhance_bwd, enhance_fwd
+from avse.model.params import init_parameters
 from avse.prng import Stream
+from avse.training.loss import si_sdr_loss_vjp
 
 FD_STEP = 1e-5
 
@@ -70,3 +77,18 @@ def lstm_reference(x, w_fw, b_fw, w_bw, b_bw) -> np.ndarray:
             out[step] = h
         halves.append(out)
     return np.concatenate(halves, axis=1)
+
+
+GOLDEN_SCENE, GOLDEN_SEED, GOLDEN_SECONDS = 7, 3, 0.5
+
+
+def golden_case():
+    """The tiny config in float64 on one fixed scene and parameter seed:
+    returns (enhanced waveform, negative SI-SDR loss, parameter cotangents)."""
+    config = tiny_config()
+    scene = synth_scene(GOLDEN_SCENE, GOLDEN_SECONDS, config)
+    mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=GOLDEN_SCENE)
+    params = init_parameters(config, GOLDEN_SEED, dtype=np.float64)
+    out, cache = enhance_fwd(mixture, scene.frames, params, config)
+    loss, g_out = si_sdr_loss_vjp(scene.target, out)
+    return out, loss, enhance_bwd(cache, params, config, g_out)

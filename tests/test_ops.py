@@ -9,10 +9,11 @@ import pytest
 
 from avse import ops
 from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
-from avse.ops.rnn import LstmParams, bilstm_forward_batched
+from avse.ops import rnn
+from avse.ops.rnn import LstmParams, bilstm_backward_batched, bilstm_forward_batched
 from avse.prng import Stream
 
-from helpers import lstm_reference, randn
+from helpers import FD_STEP, lstm_reference, randn, rel_err
 
 
 class TestConv1d:
@@ -398,3 +399,69 @@ class TestBilstmBatched:
         assert none is None and cache["hidden_size"] == 3
         assert y_plain.dtype == dtype
         assert np.array_equal(y_cached, y_plain)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_gates_raise_nothing(self, dtype):
+        """Pre-activations at +-1e4 saturate every gate without a floating
+        point warning, forward and backward."""
+        stream = Stream(422)
+        d, h = 3, 4
+        p = _random_lstm(stream, d, h, scale=1e-2)
+        signs = np.where(np.arange(4 * h) % 2 == 0, 1e4, -1e4)
+        p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, signs, p.w_bw, -signs)))
+        x = randn(stream, (2, 5, d)).astype(dtype)
+        gy = randn(stream, (2, 5, 2 * h)).astype(dtype)
+        with np.errstate(all="raise"):
+            y, cache = bilstm_forward_batched(x, p)
+            cotangents = bilstm_backward_batched(cache, gy)
+        assert y.dtype == dtype and np.isfinite(y).all()
+        assert np.abs(y).max() > 0.7  # saturated, not zeroed
+        assert all(np.isfinite(c).all() for c in cotangents)
+
+    def test_blocked_backward_matches_reference(self):
+        """Across several backward blocks, ending in a partial one, the
+        output matches the per-step reference and each of the five
+        cotangents matches the reference's central difference along a
+        random direction."""
+        nb, t, d, h = 40, 10, 3, 256
+        stream = Stream(423)
+        p = _random_lstm(stream, d, h, scale=0.1)
+        x = randn(stream, (nb, t, d))
+        gy = randn(stream, (nb, t, 2 * h))
+        y, cache = bilstm_forward_batched(x, p)
+        block = rnn.BLOCK_BYTES // cache["gates"][0].nbytes
+        assert 1 <= block < t and t % block != 0
+        refs = [lstm_reference(x[r], p.w_fw, p.b_fw, p.w_bw, p.b_bw) for r in range(nb)]
+        assert np.abs(y - np.stack(refs)).max() < 1e-12
+        cotangents = bilstm_backward_batched(cache, gy)
+
+        def loss(args):
+            xs, wf, bf, wb, bb = args
+            return sum(
+                float((lstm_reference(xs[r], wf, bf, wb, bb) * gy[r]).sum()) for r in range(nb)
+            )
+
+        base = [x, p.w_fw, p.b_fw, p.w_bw, p.b_bw]
+        for i, analytic in enumerate(cotangents):
+            v = randn(stream, base[i].shape)
+            plus, minus = list(base), list(base)
+            plus[i], minus[i] = base[i] + FD_STEP * v, base[i] - FD_STEP * v
+            numeric = (loss(plus) - loss(minus)) / (2 * FD_STEP)
+            assert rel_err(numeric, float((analytic * v).sum())) < 1e-4, i
+
+    def test_transposed_view_input_is_bit_identical(self):
+        """A [B, T, D] view of time-major data gives what the same data
+        made contiguous gives, output and all five cotangents."""
+        stream = Stream(424)
+        p = _random_lstm(stream, 4, 3)
+        p = LstmParams(*(a.astype(np.float32) for a in (p.w_fw, p.b_fw, p.w_bw, p.b_bw)))
+        x_view = randn(stream, (7, 5, 4)).astype(np.float32).transpose(1, 0, 2)
+        x_copy = np.ascontiguousarray(x_view)
+        gy = randn(stream, (5, 7, 6)).astype(np.float32)
+        y_view, cache_view = bilstm_forward_batched(x_view, p)
+        y_copy, cache_copy = bilstm_forward_batched(x_copy, p)
+        assert np.array_equal(y_view, y_copy)
+        for a, b in zip(
+            bilstm_backward_batched(cache_view, gy), bilstm_backward_batched(cache_copy, gy)
+        ):
+            assert np.array_equal(a, b)

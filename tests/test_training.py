@@ -6,6 +6,7 @@ import pytest
 
 from avse.data.synth import synth_scene
 from avse.errors import (
+    ConfigError,
     CorruptCheckpointError,
     DataError,
     DegenerateSignalError,
@@ -213,13 +214,11 @@ class TestTrainScenes:
     def _scenes(self, n=2, dur=0.5):
         return [synth_scene(s, dur, tiny_config()) for s in range(n)]
 
-    def test_zero_epochs_equals_initialization(self):
-        config = tiny_config()
-        ckpt, logs = train_scenes(config, self._scenes(), 0, seed=0)
-        assert logs == []
-        reference = init_parameters(config, 0, dtype=np.float32)
-        for name in reference.names():
-            assert np.array_equal(ckpt.params[name], reference[name]), name
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_non_positive_epochs_rejected(self, epochs):
+        """An epoch count below 1 would return an untrained checkpoint."""
+        with pytest.raises(ConfigError, match="epochs"):
+            train_scenes(tiny_config(), self._scenes(), epochs, seed=0)
 
     def test_loss_trace_bit_reproducible(self):
         config = tiny_config()
