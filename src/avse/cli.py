@@ -20,7 +20,7 @@ from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
 from avse.data.wavio import load_wav, save_wav
 from avse.errors import AvseError, DataError, NumericError
-from avse.metrics.report import aggregate_report, evaluate_pair, write_report
+from avse.metrics.report import evaluate_pair, write_report
 from avse.model.config import ModelConfig, default_config, tiny_config
 from avse.model.network import enhance
 from avse.model.params import count_parameters, parameter_shapes

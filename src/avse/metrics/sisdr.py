@@ -8,20 +8,21 @@ import numpy as np
 
 from avse.errors import DegenerateSignalError, ShapeError
 
-# Reported values are clamped to [-60, +60] dB: +60 when the residual is
-# negligible, -60 when the projected target is (estimate orthogonal to or
-# independent of the reference).
+# Reported values are clamped to [-60, +60] dB: -60 when the projected
+# target is empty (a silent or constant estimate, or one orthogonal to the
+# reference), +60 when the residual is negligible.  The empty target is
+# tested first: an all-zero estimate also has a zero residual.
 SI_SDR_CAP_DB = 60.0
 _RESIDUAL_CAP_RATIO = 1e-12
 
 
-def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
-    """SI-SDR of ``est`` against ``ref`` in dB.
+def project(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the mean-removed ``est`` into (target, residual), in float64.
 
-    Both signals are mean-removed; the estimate is projected onto the
-    reference (alpha = <est,ref>/<ref,ref>) and the ratio of projected
-    energy to residual energy is reported in dB.  The result is
-    invariant under nonzero scaling of the estimate.
+    The target is the projection onto the mean-removed reference,
+    alpha * ref with alpha = <est,ref>/<ref,ref>; the residual is the
+    rest, orthogonal to the reference.  Shared by the metric and the
+    training loss.
     """
     if ref.shape != est.shape or ref.ndim != 1:
         raise ShapeError(f"signals must be equal-length 1-D, got {ref.shape} and {est.shape}")
@@ -32,15 +33,24 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     ref_energy = float(ref @ ref)
     if ref_energy <= 0.0:
         raise DegenerateSignalError("reference has zero energy after mean removal")
-    alpha = float(est @ ref) / ref_energy
-    target = alpha * ref
+    target = float(est @ ref) / ref_energy * ref
+    return target, est - target
+
+
+def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
+    """SI-SDR of ``est`` against ``ref`` in dB.
+
+    The ratio of projected energy to residual energy (see ``project``),
+    in dB.  The result is invariant under nonzero scaling of the
+    estimate; a silent or constant estimate scores -60.
+    """
+    target, residual = project(ref, est)
     target_energy = float(target @ target)
-    residual = est - target
     residual_energy = float(residual @ residual)
-    if residual_energy <= _RESIDUAL_CAP_RATIO * target_energy:
-        return SI_SDR_CAP_DB
     if target_energy <= 0.0:
         return -SI_SDR_CAP_DB
+    if residual_energy <= _RESIDUAL_CAP_RATIO * target_energy:
+        return SI_SDR_CAP_DB
     return min(
         SI_SDR_CAP_DB,
         max(-SI_SDR_CAP_DB, 10.0 * math.log10(target_energy / residual_energy)),

@@ -9,6 +9,11 @@ segment and band, scale the degraded envelope to the clean energy, clip
 it at (1 + 10^(15/20)) times the clean envelope (the -15 dB
 signal-to-distortion floor), and correlate; the score is the mean
 correlation over all segments and bands.
+
+The two signals travel stacked as one [2, ...] array, frames are
+strided views, and all segments are scored at once over a
+[bands, segments, 30] window view, whose size is 30 times that of the
+envelopes.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from avse.errors import InsufficientSignalError, ShapeError
 from avse.metrics.resample import resample
 
 FS = 10000  # analysis rate, Hz
 FRAME_LEN = 256
-HOP = 128
+HOP = 128  # FRAME_LEN / 2: overlap-add sums two half frames per hop
 NFFT = 512
 NUM_BANDS = 15
 FIRST_CENTER_HZ = 150.0
@@ -31,6 +37,9 @@ DYN_RANGE_DB = 40.0
 BETA_DB = -15.0  # clip threshold: 1 + 10^(-BETA/20)
 
 _EPS = np.finfo(np.float64).eps
+_CLIP = 1.0 + 10.0 ** (-BETA_DB / 20.0)
+# Periodic-style Hann without zero endpoints; pairs at half-overlap sum to 1.
+_WINDOW = np.hanning(FRAME_LEN + 2)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -42,67 +51,49 @@ class BandDefinition:
     hi_bin: int
 
 
-def _hann(n: int) -> np.ndarray:
-    # Periodic-style Hann without zero endpoints; pairs at half-overlap sum to 1.
-    return np.hanning(n + 2)[1:-1]
-
-
-def third_octave_bands(
-    fs: int = FS, nfft: int = NFFT, num_bands: int = NUM_BANDS, first_hz: float = FIRST_CENTER_HZ
-) -> list[BandDefinition]:
+def third_octave_bands() -> list[BandDefinition]:
     """Band edges snapped to the nearest FFT bin; contiguous and disjoint."""
-    f = np.linspace(0, fs, nfft + 1)[: nfft // 2 + 1]
+    f = np.linspace(0, FS, NFFT + 1)[: NFFT // 2 + 1]
     bands = []
-    for k in range(num_bands):
-        center = first_hz * 2.0 ** (k / 3.0)
+    for k in range(NUM_BANDS):
+        center = FIRST_CENTER_HZ * 2.0 ** (k / 3.0)
         lo = int(np.argmin(np.square(f - center * 2.0 ** (-1.0 / 6.0))))
         hi = int(np.argmin(np.square(f - center * 2.0 ** (1.0 / 6.0))))
         bands.append(BandDefinition(center, lo, hi))
     return bands
 
 
-def _frame(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Windowed frames [M, FRAME_LEN]; the tail that does not fill a frame is dropped."""
-    starts = range(0, len(x) - FRAME_LEN + 1, HOP)
-    return np.array([window * x[s : s + FRAME_LEN] for s in starts])
+_BANDS = third_octave_bands()
 
 
-def _remove_silent_frames(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop frame pairs where the reference is quiet; overlap-add the rest.
+def _frames(x: np.ndarray) -> np.ndarray:
+    """Windowed frames [2, M, FRAME_LEN] of [2, T]; a tail short of a frame is dropped."""
+    return _WINDOW * sliding_window_view(x, FRAME_LEN, axis=1)[:, ::HOP]
+
+
+def _remove_silent_frames(x: np.ndarray) -> np.ndarray:
+    """Drop frames where the reference x[0] is quiet; overlap-add the rest.
 
     Selection depends only on the reference, so both signals lose the
     same frames and stay aligned.
     """
-    w = _hann(FRAME_LEN)
-    ref_frames = _frame(ref, w)
-    est_frames = _frame(est, w)
-    if len(ref_frames) == 0:
+    if x.shape[1] < FRAME_LEN:
         raise InsufficientSignalError(
-            f"signal of {len(ref)} samples is shorter than one {FRAME_LEN}-sample frame"
+            f"signal of {x.shape[1]} samples is shorter than one {FRAME_LEN}-sample frame"
         )
-    energies_db = 20.0 * np.log10(np.linalg.norm(ref_frames, axis=1) + _EPS)
-    keep = energies_db > energies_db.max() - DYN_RANGE_DB
-    ref_frames = ref_frames[keep]
-    est_frames = est_frames[keep]
-    n_out = (len(ref_frames) - 1) * HOP + FRAME_LEN
-    ref_out = np.zeros(n_out)
-    est_out = np.zeros(n_out)
-    for i in range(len(ref_frames)):
-        ref_out[i * HOP : i * HOP + FRAME_LEN] += ref_frames[i]
-        est_out[i * HOP : i * HOP + FRAME_LEN] += est_frames[i]
-    return ref_out, est_out
+    frames = _frames(x)
+    energies_db = 20.0 * np.log10(np.linalg.norm(frames[0], axis=1) + _EPS)
+    halves = frames[:, energies_db > energies_db.max() - DYN_RANGE_DB].reshape(2, -1, 2, HOP)
+    out = np.zeros((2, halves.shape[1] + 1, HOP))
+    out[:, :-1] += halves[:, :, 0]
+    out[:, 1:] += halves[:, :, 1]
+    return out.reshape(2, -1)
 
 
-def _band_envelopes(x: np.ndarray, bands: list[BandDefinition]) -> np.ndarray:
-    """Third-octave envelope matrix [NUM_BANDS, M] from a waveform."""
-    w = _hann(FRAME_LEN)
-    frames = _frame(x, w)
-    spec = np.fft.rfft(frames, n=NFFT, axis=1)  # [M, NFFT/2+1]
-    power = np.square(np.abs(spec))
-    env = np.empty((len(bands), len(frames)))
-    for j, band in enumerate(bands):
-        env[j] = np.sqrt(power[:, band.lo_bin : band.hi_bin].sum(axis=1))
-    return env
+def _band_envelopes(x: np.ndarray) -> np.ndarray:
+    """Third-octave envelopes [2, NUM_BANDS, M] of [2, T] waveforms."""
+    power = np.square(np.abs(np.fft.rfft(_frames(x), n=NFFT, axis=2)))
+    return np.sqrt(np.stack([power[..., b.lo_bin : b.hi_bin].sum(axis=2) for b in _BANDS], axis=1))
 
 
 def stoi(ref: np.ndarray, est: np.ndarray, fs_hz: int) -> float:
@@ -114,28 +105,18 @@ def stoi(ref: np.ndarray, est: np.ndarray, fs_hz: int) -> float:
     if fs_hz != FS:
         ref = resample(ref, fs_hz, FS)
         est = resample(est, fs_hz, FS)
-    ref, est = _remove_silent_frames(ref, est)
-    bands = third_octave_bands()
-    x = _band_envelopes(ref, bands)  # clean
-    y = _band_envelopes(est, bands)  # degraded
+    x, y = _band_envelopes(_remove_silent_frames(np.stack([ref, est])))  # clean, degraded
     m = x.shape[1]
     if m < SEGMENT_FRAMES:
         raise InsufficientSignalError(
             f"only {m} analysis frames after silence removal; need {SEGMENT_FRAMES}"
         )
-    clip = 1.0 + 10.0 ** (-BETA_DB / 20.0)
-    total = 0.0
-    count = 0
-    for seg_end in range(SEGMENT_FRAMES, m + 1):
-        xs = x[:, seg_end - SEGMENT_FRAMES : seg_end]
-        ys = y[:, seg_end - SEGMENT_FRAMES : seg_end]
-        alpha = np.sqrt((xs * xs).sum(axis=1) / ((ys * ys).sum(axis=1) + _EPS))
-        ys_scaled = ys * alpha[:, None]
-        ys_clipped = np.minimum(ys_scaled, clip * xs)
-        xn = xs - xs.mean(axis=1, keepdims=True)
-        yn = ys_clipped - ys_clipped.mean(axis=1, keepdims=True)
-        xn = xn / (np.linalg.norm(xn, axis=1, keepdims=True) + _EPS)
-        yn = yn / (np.linalg.norm(yn, axis=1, keepdims=True) + _EPS)
-        total += float((xn * yn).sum())
-        count += xs.shape[0]
-    return total / count
+    xs = sliding_window_view(x, SEGMENT_FRAMES, axis=1)  # [bands, segments, frames]
+    ys = sliding_window_view(y, SEGMENT_FRAMES, axis=1)
+    alpha = np.sqrt((xs * xs).sum(axis=2) / ((ys * ys).sum(axis=2) + _EPS))
+    ys = np.minimum(ys * alpha[..., None], _CLIP * xs)
+    xn = xs - xs.mean(axis=2, keepdims=True)
+    yn = ys - ys.mean(axis=2, keepdims=True)
+    xn /= np.linalg.norm(xn, axis=2, keepdims=True) + _EPS
+    yn /= np.linalg.norm(yn, axis=2, keepdims=True) + _EPS
+    return float((xn * yn).sum(axis=2).mean())

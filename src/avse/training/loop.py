@@ -9,7 +9,6 @@ the loss trace is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -63,7 +62,6 @@ def train_scenes(
     epochs: int,
     seed: int,
     lr: float = 1e-3,
-    log_path=None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Train on in-memory scenes; returns (checkpoint, per-epoch log records)."""
     if epochs < 1:
@@ -93,40 +91,34 @@ def train_scenes(
     state = init_optimizer(params, lr=lr)
     shuffle = root.spawn(_SUB_SHUFFLE)
     logs: list[dict] = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(epochs):
-            order = shuffle.permutation(len(prepared))
-            losses = []
-            sisdrs = []
-            for step, idx in enumerate(order):
-                scene_id, mixture, target, frames = prepared[int(idx)]
-                out, cache = enhance_fwd(mixture, frames, params, config)
-                loss, g_out = si_sdr_loss_vjp(target, out)
-                if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, step {step}, scene {scene_id}"
-                    )
-                grads = enhance_bwd(cache, params, config, g_out)
-                norm = clip_global_norm(grads, MAX_GRAD_NORM)
-                if not math.isfinite(norm):
-                    raise NumericError(
-                        f"non-finite gradient at epoch {epoch}, step {step}, scene {scene_id}"
-                    )
-                params, state = adam_step(params, grads, state)
-                losses.append(loss)
-                sisdrs.append(si_sdr(target.astype(np.float64), out.astype(np.float64)))
-            record = {
+    for epoch in range(epochs):
+        order = shuffle.permutation(len(prepared))
+        losses = []
+        sisdrs = []
+        for step, idx in enumerate(order):
+            scene_id, mixture, target, frames = prepared[int(idx)]
+            out, cache = enhance_fwd(mixture, frames, params, config)
+            loss, g_out = si_sdr_loss_vjp(target, out)
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, step {step}, scene {scene_id}"
+                )
+            grads = enhance_bwd(cache, params, config, g_out)
+            norm = clip_global_norm(grads, MAX_GRAD_NORM)
+            if not math.isfinite(norm):
+                raise NumericError(
+                    f"non-finite gradient at epoch {epoch}, step {step}, scene {scene_id}"
+                )
+            params, state = adam_step(params, grads, state)
+            losses.append(loss)
+            sisdrs.append(si_sdr(target.astype(np.float64), out.astype(np.float64)))
+        logs.append(
+            {
                 "epoch": epoch,
                 "mean_loss": sum(losses) / len(losses),
                 "mean_sisdr": sum(sisdrs) / len(sisdrs),
             }
-            logs.append(record)
-            if log_fh:
-                log_fh.write(json.dumps(record) + "\n")
-    finally:
-        if log_fh:
-            log_fh.close()
+        )
     return Checkpoint(config=config, params=params, optimizer=state), logs
 
 
@@ -136,8 +128,7 @@ def train(
     epochs: int,
     seed: int,
     lr: float = 1e-3,
-    log_path=None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Train from manifest entries (files on disk)."""
     scenes = [load_scene(entry, config) for entry in entries]
-    return train_scenes(config, scenes, epochs, seed, lr=lr, log_path=log_path)
+    return train_scenes(config, scenes, epochs, seed, lr=lr)

@@ -1,50 +1,28 @@
 """Negative SI-SDR training loss.
 
-Same projection as the metric but uncapped, with a 1e-8 stabilizer on
-the residual energy so the loss stays finite when the estimate matches
-the target exactly.  Lower is better; matching the target to within the
-stabilizer floor gives a loss at or below -60 for unit-scale signals.
+Same projection as the metric (``metrics.sisdr.project``) but uncapped,
+with a 1e-8 stabilizer on the residual energy so the loss stays finite
+when the estimate matches the target exactly.  Lower is better;
+matching the target to within the stabilizer floor gives a loss at or
+below -60 for unit-scale signals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from avse.errors import DegenerateSignalError, ShapeError
+from avse.metrics.sisdr import project
 
 _EPS = 1e-8
 _LOG10_SCALE = 10.0 / np.log(10.0)
 
 
-def si_sdr_loss(clean: np.ndarray, enhanced: np.ndarray) -> float:
-    """Scalar loss; -si_sdr with a stabilized residual."""
-    loss, _ = si_sdr_loss_vjp(clean, enhanced, need_grad=False)
-    return loss
-
-
-def si_sdr_loss_vjp(
-    clean: np.ndarray, enhanced: np.ndarray, need_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
+def si_sdr_loss_vjp(clean: np.ndarray, enhanced: np.ndarray) -> tuple[float, np.ndarray]:
     """Returns (loss, dloss/denhanced); the gradient matches enhanced's dtype."""
-    if clean.shape != enhanced.shape or clean.ndim != 1:
-        raise ShapeError(
-            f"signals must be equal-length 1-D, got {clean.shape} and {enhanced.shape}"
-        )
-    c = np.asarray(clean, dtype=np.float64)
-    e = np.asarray(enhanced, dtype=np.float64)
-    c = c - c.mean()
-    e = e - e.mean()
-    c_energy = float(c @ c)
-    if c_energy <= 0.0:
-        raise DegenerateSignalError("clean signal has zero energy after mean removal")
-    alpha = float(e @ c) / c_energy
-    target = alpha * c
+    target, residual = project(clean, enhanced)
     target_energy = float(target @ target)
-    residual = e - target
     residual_energy = float(residual @ residual)
     loss = -10.0 * (np.log10(target_energy) - np.log10(residual_energy + _EPS))
-    if not need_grad:
-        return float(loss), None
     # d/de of -10*log10(|t|^2 / (|n|^2 + eps)); t and n are orthogonal
     # projections of e, so their energy gradients are 2t and 2n.
     g = -_LOG10_SCALE * (2.0 * target / target_energy - 2.0 * residual / (residual_energy + _EPS))

@@ -79,6 +79,40 @@ def lstm_reference(x, w_fw, b_fw, w_bw, b_bw) -> np.ndarray:
     return np.concatenate(halves, axis=1)
 
 
+def stoi_reference(ref, est) -> float:
+    """STOI of two 10 kHz float64 signals, one frame, one overlap-add and
+    one 30-frame segment at a time, straight from the definition in
+    ``avse.metrics.stoi``'s docstring."""
+    from avse.metrics.stoi import third_octave_bands
+
+    eps = np.finfo(np.float64).eps
+    window = np.hanning(258)[1:-1]
+
+    def frames(x):
+        return [window * x[s : s + 256] for s in range(0, len(x) - 255, 128)]
+
+    ref_frames, est_frames = frames(ref), frames(est)
+    db = [20 * np.log10(np.linalg.norm(f) + eps) for f in ref_frames]
+    kept = [k for k in range(len(db)) if db[k] > max(db) - 40]
+    envelopes = []
+    for framed in (ref_frames, est_frames):
+        out = np.zeros(128 * len(kept) + 128)
+        for i, k in enumerate(kept):
+            out[128 * i : 128 * i + 256] += framed[k]
+        power = [np.abs(np.fft.rfft(f, 512)) ** 2 for f in frames(out)]
+        bands = third_octave_bands()
+        envelopes.append(np.array([[p[b.lo_bin : b.hi_bin].sum() for p in power] for b in bands]))
+    x, y = np.sqrt(envelopes[0]), np.sqrt(envelopes[1])
+    scores = []
+    for end in range(30, x.shape[1] + 1):
+        for band in range(len(x)):
+            xs, ys = x[band, end - 30 : end], y[band, end - 30 : end]
+            ys = np.minimum(ys * np.sqrt((xs @ xs) / (ys @ ys + eps)), (1 + 10**0.75) * xs)
+            xs, ys = xs - xs.mean(), ys - ys.mean()
+            scores.append(xs @ ys / ((np.linalg.norm(xs) + eps) * (np.linalg.norm(ys) + eps)))
+    return float(np.mean(scores))
+
+
 GOLDEN_SCENE, GOLDEN_SEED, GOLDEN_SECONDS = 7, 3, 0.5
 
 

@@ -31,6 +31,8 @@ from avse.metrics import (
 from avse.data.wavio import save_wav
 from avse.prng import Stream
 
+from helpers import stoi_reference
+
 SI_SDR_HAND_CASE_DB = -4.771212547196625  # ref=[1,2,3], est=[1,3,2]
 STOI_NOISE_ORACLE = 0.6578845451418572  # seed-11 reference, 0 dB white noise
 
@@ -81,6 +83,14 @@ class TestSiSdr:
         noise = Stream(65).normal(500)
         values = [si_sdr(ref, ref + b * noise) for b in (0.01, 0.1, 0.5, 1.0, 4.0)]
         assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("level", [0.0, 0.5, -2.0])
+    def test_silent_or_constant_estimate_scores_floor(self, level):
+        """Mean removal leaves nothing of a constant estimate to project:
+        it scores -60, the worst value, not the +60 of a perfect match."""
+        ref = Stream(69).normal(400)
+        assert si_sdr(ref, np.full(400, level)) == -60.0
+        assert si_sdr(ref, ref) == 60.0
 
     def test_zero_reference_raises(self):
         with pytest.raises(DegenerateSignalError):
@@ -203,9 +213,29 @@ class TestStoi:
         est2[gap] = 5.0 * Stream(72).normal(gap.stop - gap.start)
         assert stoi(ref, est, fs) == stoi(ref, est2, fs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_reference(self, seed):
+        """The strided, all-segments-at-once pipeline agrees with a per-frame,
+        per-segment loop on speech-like signals with a silent gap; only
+        the order of the final mean's sum differs."""
+        ref = _speechlike_reference(20 + seed, dur=1.0, fs=10000)
+        ref[3000:5000] *= 1e-3
+        est = ref + (0.1 + seed) * Stream(80 + seed).normal(len(ref))
+        assert abs(stoi(ref, est, 10000) - stoi_reference(ref, est)) < 1e-14
+
     def test_too_short_raises(self):
         with pytest.raises(InsufficientSignalError):
             stoi(np.ones(1000), np.ones(1000), 10000)
+
+    def test_one_segment_boundary(self):
+        """At 10 kHz, 3968 samples cut into exactly 30 frames: one segment.
+        3840 samples give 29 frames, one short of a segment."""
+        ref = Stream(73).normal(3968)
+        assert abs(stoi(ref, ref, 10000) - 1.0) < 1e-9
+        noisy = stoi(ref, ref + Stream(74).normal(3968), 10000)
+        assert np.isfinite(noisy) and noisy < 1.0
+        with pytest.raises(InsufficientSignalError, match="only 29 analysis frames"):
+            stoi(ref[:3840], ref[:3840], 10000)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):

@@ -18,7 +18,7 @@ from avse.model.network import enhance
 from avse.model.params import init_parameters
 from avse.prng import Stream
 from avse.training.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from avse.training.loss import si_sdr_loss, si_sdr_loss_vjp
+from avse.training.loss import si_sdr_loss_vjp
 from avse.training.loop import train_scenes
 from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
 
@@ -28,20 +28,20 @@ from helpers import fd_grad, rel_err
 class TestSiSdrLoss:
     def test_perfect_enhancement_strongly_negative(self):
         clean = Stream(110).normal(500)
-        assert si_sdr_loss(clean, clean.copy()) <= -60.0
+        assert si_sdr_loss_vjp(clean, clean.copy())[0] <= -60.0
 
     def test_matches_negated_metric_away_from_cap(self):
         from avse.metrics import si_sdr
 
         clean = Stream(111).normal(500)
         enhanced = clean + 0.3 * Stream(112).normal(500)
-        assert abs(si_sdr_loss(clean, enhanced) + si_sdr(clean, enhanced)) < 1e-9
+        assert abs(si_sdr_loss_vjp(clean, enhanced)[0] + si_sdr(clean, enhanced)) < 1e-9
 
     def test_gradient_matches_finite_differences(self):
         clean = Stream(113).normal(80)
         enhanced = clean + 0.5 * Stream(114).normal(80)
         loss, grad = si_sdr_loss_vjp(clean, enhanced)
-        numeric = fd_grad(lambda e: si_sdr_loss_vjp(clean, e, need_grad=False)[0], enhanced)
+        numeric = fd_grad(lambda e: si_sdr_loss_vjp(clean, e)[0], enhanced)
         assert rel_err(numeric, grad) < 1e-4
 
     def test_positive_scaling_invariance(self):
@@ -49,9 +49,9 @@ class TestSiSdrLoss:
         roughly (10/ln 10) * 1e-8 / residual_energy dB."""
         clean = Stream(115).normal(300)
         enhanced = clean + 0.2 * Stream(116).normal(300)
-        base = si_sdr_loss(clean, enhanced)
+        base = si_sdr_loss_vjp(clean, enhanced)[0]
         for a in (0.25, 4.0, 11.0):
-            assert abs(si_sdr_loss(clean, a * enhanced) - base) < 1e-6
+            assert abs(si_sdr_loss_vjp(clean, a * enhanced)[0] - base) < 1e-6
 
     def test_gradient_dtype_follows_enhanced(self):
         clean = Stream(117).normal(64)
@@ -61,7 +61,7 @@ class TestSiSdrLoss:
 
     def test_degenerate_clean_rejected(self):
         with pytest.raises(DegenerateSignalError):
-            si_sdr_loss(np.zeros(100), Stream(118).normal(100))
+            si_sdr_loss_vjp(np.zeros(100), Stream(118).normal(100))
 
 
 class TestAdamStep:
@@ -252,12 +252,3 @@ class TestTrainScenes:
         message names the epoch and step."""
         with pytest.raises(NumericError, match=r"epoch \d+, step \d+"):
             train_scenes(tiny_config(), self._scenes(), 30, seed=0, lr=1e18)
-
-    def test_log_file_written(self, tmp_path):
-        import json
-
-        config = tiny_config()
-        log_path = tmp_path / "log.jsonl"
-        _, logs = train_scenes(config, self._scenes(), 2, seed=0, log_path=log_path)
-        lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        assert lines == logs

@@ -7,7 +7,9 @@ own subprocess with its own ``src`` first on the import path, on synth
 scene 7 and parameter seed 3, for the tiny and the default config, each
 in float32 and float64.  A run dumps ``network.enhance``,
 ``grad.enhance_fwd`` and every parameter cotangent of
-``grad.enhance_bwd`` under the negative SI-SDR loss: 372 arrays.
+``grad.enhance_bwd`` under the negative SI-SDR loss, plus that loss and
+the ``si_sdr`` and ``stoi`` scores of the ``enhance_fwd`` output
+against the scene target: 384 arrays.
 
 Every array's worst deviation is printed relative to that array's
 largest entry, and the exit code is 1 if any exceeds ``--tol`` (default
@@ -37,6 +39,7 @@ def dump(out_path: str) -> None:
     """Write every compared array of this interpreter's ``avse`` to an .npz."""
     from avse.data.mixer import mix_scene
     from avse.data.synth import synth_scene
+    from avse.metrics import si_sdr, stoi
     from avse.model import network
     from avse.model.config import default_config, tiny_config
     from avse.model.grad import enhance_bwd, enhance_fwd
@@ -54,7 +57,10 @@ def dump(out_path: str) -> None:
             arrays[f"{run}/enhance"] = network.enhance(wave, frames, params, config)
             out, cache = enhance_fwd(wave, frames, params, config)
             arrays[f"{run}/enhance_fwd"] = out
-            _, g_out = si_sdr_loss_vjp(scene.target, out)
+            loss, g_out = si_sdr_loss_vjp(scene.target, out)
+            arrays[f"{run}/loss"] = np.float64(loss)
+            arrays[f"{run}/si_sdr"] = np.float64(si_sdr(scene.target, out))
+            arrays[f"{run}/stoi"] = np.float64(stoi(scene.target, out, config.sample_rate_hz))
             for name, g in enhance_bwd(cache, params, config, g_out).items():
                 arrays[f"{run}/grad/{name}"] = g
     np.savez(out_path, **arrays)
