@@ -67,6 +67,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenes", type=_count, default=4, help="number of scenes")
     p.add_argument("--seed", type=int, default=0, help="base seed; scene i uses seed+i")
     p.add_argument("--duration", type=float, default=3.0, help="scene length in seconds")
+    p.add_argument("--config", help="model config JSON for sample rate and frame size "
+                   "(default: full-size config)")
 
     p = sub.add_parser("mix", help="mix a target and an interferer at a given SNR")
     p.add_argument("--target", required=True, help="target WAV")
@@ -116,7 +118,7 @@ def _load_config(path: str | None) -> ModelConfig:
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = default_config()
+    config = _load_config(args.config)
     entries = []
     for i in range(args.scenes):
         scene = synth_scene(args.seed + i, args.duration, config)

@@ -9,9 +9,11 @@ SNR matches the request to float precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from avse.errors import DegenerateSignalError, ShapeError
+from avse.errors import ConfigError, DegenerateSignalError, ShapeError
 from avse.prng import Stream
 
 CROSSFADE_S = 0.010
@@ -71,6 +73,13 @@ def mix_scene(
     p_i = float((fitted * fitted).mean())
     if p_i <= 0.0:
         raise DegenerateSignalError("interferer has zero energy over the mixed region")
-    gain = np.sqrt(p_t / (p_i * 10.0 ** (snr_db / 10.0)))
+    if not math.isfinite(snr_db):
+        raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    try:
+        gain = np.sqrt(p_t / (p_i * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) out of range
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise ConfigError(f"snr_db = {snr_db} dB puts the interferer gain out of float64 range")
     return target + gain * fitted
 

@@ -11,6 +11,7 @@ generator, so scenes are bit-identical per seed on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ def _envelope(stream: Stream, times: np.ndarray) -> np.ndarray:
 
 def synth_scene(seed: int, duration_s: float, config: ModelConfig) -> Scene:
     """Deterministic scene of ``duration_s`` seconds at the config's rate."""
-    if duration_s < 0.5:
-        raise ConfigError(f"scene duration must be at least 0.5 s, got {duration_s}")
+    if not (math.isfinite(duration_s) and duration_s >= 0.5):
+        raise ConfigError(f"scene duration_s must be finite and at least 0.5 s, got {duration_s}")
     root = Stream(seed)
     rate = config.sample_rate_hz
     n = int(round(duration_s * rate))

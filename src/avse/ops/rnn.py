@@ -29,10 +29,44 @@ steps in reverse, in blocks of as many steps as fit BLOCK_BYTES of gate
 records: each block's coefficients, step rows [x_t, 1, h_prev], gate
 cotangents and its input and weight cotangent products stay in cache,
 and nothing sized by all T steps is built besides the output.
+
+The two directions share no state, so each may run on its own core.
+The time loop and the block loop are each one function over a slice of
+the direction axis: the calling thread runs slice(0, 2), or slice(0, 1)
+while one persistent worker thread runs slice(1, 2).  Either schedule
+gives the same bits.  Every GEMM keeps its shape and operands, every
+elementwise step is the same per element, and each thread writes only
+its own direction's parts of the output and the records.  The block
+length comes from both directions' record either way, so the weight
+cotangent sums the same blocks.  In the backward each thread
+accumulates its input cotangent into its own [T, B, D] buffer, and the
+two are added once after the join: time t gets exactly one term per
+direction, and a + b == b + a.
+
+``split_directions`` picks the worker when a per-step, per-direction
+GEMM [B, D+1+H] x [D+1+H, 4H] is at least SPLIT_FLOPS and this process
+may use at least two CPUs per BLAS thread.  A multi-threaded BLAS
+already spreads the fused loop's GEMMs over the cores, and two callers
+of it oversubscribe them: on 2 cores with OpenBLAS's default 2 threads
+the split read 0.6-1.0x of the fused loop, and a 10 s enhance took
+7.7-7.9 s against 6.5-7.3 s.  Below SPLIT_FLOPS the threads spend more
+on handing the interpreter lock back and forth than they save.
+Measured on a 2-core guest (one BLAS thread, float32, medians of 11
+alternating pairs, fused time over split time), the forward crossed 1
+between 6 and 13 MFLOP per step: D=64, H=32 read 0.83 at 3.2 MFLOP,
+1.22 at 6.4 and 1.56 at 12.7; D=128, H=64 read 0.78, 0.99 and 1.18;
+D=256, H=128 read 0.96 at 4.7 and 1.49 at 9.5.  The backward crossed
+lower.  The default config's steps are 15 MFLOP (intra, 1 s) and
+39 MFLOP (inter), the tiny config's 0.4 MFLOP and 1.7 kFLOP, so
+training the tiny config keeps the single-thread loop.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +76,7 @@ from avse.errors import EmptySequenceError, ShapeError
 # Packed gate blocks: i, f, o, g from the stored i, f, g, o.
 PACKED = [0, 1, 3, 2]
 BLOCK_BYTES = 1 << 21
+SPLIT_FLOPS = 1 << 23  # 8.4 MFLOP; see the module docstring
 
 
 @dataclass
@@ -73,6 +108,106 @@ class LstmParams:
                 raise ShapeError(f"{name} bias shape {b.shape} does not match {w.shape[0]} rows")
 
 
+def split_directions(nb: int, d: int, hs: int) -> bool:
+    """Whether the two directions run on two threads: a per-step,
+    per-direction GEMM [B, D+1+H] x [D+1+H, 4H] of at least SPLIT_FLOPS,
+    and at least two CPUs in this process's affinity set per BLAS thread."""
+    flops = 2 * nb * (d + 1 + hs) * 4 * hs
+    return flops >= SPLIT_FLOPS and _cpu_count() >= 2 * _blas_threads()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """BLAS threads per call, as the variables that OpenBLAS, MKL and
+    OpenMP read at load time set them; unset, they use every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            return max(1, int(os.environ[var]))
+        except (KeyError, ValueError):
+            pass
+    return _cpu_count()
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one persistent thread that runs the backward direction."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="avse-bilstm")
+        return _pool
+
+
+def _drop_worker() -> None:
+    global _pool, _pool_lock
+    # A forked child has no copy of the parent's thread, and the lock may
+    # have been held by another of the parent's threads.
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _by_direction(run, split: bool) -> list:
+    """run(slice(0, 2)) on this thread; or, split, run(slice(0, 1)) here
+    while the worker runs run(slice(1, 2)) in a copy of this thread's
+    context (so np.errstate holds there too).  Returns the results in
+    direction order and re-raises the worker's exception here."""
+    if not split:
+        return [run(slice(0, 2))]
+    job = _worker().submit(contextvars.copy_context().run, run, slice(1, 2))
+    try:
+        mine = run(slice(0, 1))
+    finally:
+        wait([job])  # the worker writes into the caller's arrays
+    return [mine, job.result()]
+
+
+def _forward_steps(dirs: slice, x, w_t, y, gates, cells) -> None:
+    """The time loop for the directions in ``dirs``: fills their parts of
+    y, gates and cells and touches nothing of the other direction."""
+    nb, t, d = x.shape
+    hs = w_t.shape[-1]
+    w_t, gates, cells = w_t[:, dirs], gates[:, :, dirs], cells[:, dirs]
+    # Direction 1 walks time backwards; as reversed views, step s of
+    # every direction reads and writes index s.
+    xs = [x, x[:, ::-1]][dirs]
+    ys = [y[:, :, :hs], y[:, ::-1, hs:]][dirs]
+    xh = np.zeros((len(xs), nb, d + 1 + hs), dtype=y.dtype)
+    xh[:, :, d] = 1
+    h = xh[:, :, d + 1 :]  # the state is written in place, next to the next input
+    x_rows = list(zip(xh[:, :, :d], xs))
+    y_rows = list(zip(ys, h))
+    tmp = np.empty((len(xs), nb, hs), dtype=y.dtype)
+    for s in range(t):
+        g = gates[s % len(gates)]
+        c_prev, c = cells[s % len(cells)], cells[(s + 1) % len(cells)]
+        for row, xd in x_rows:
+            row[...] = xd[:, s]
+        np.matmul(xh, w_t, out=g)
+        np.tanh(g, out=g)
+        sig = g[:3]
+        sig *= 0.5
+        sig += 0.5
+        np.multiply(g[1], c_prev, out=c)
+        np.multiply(g[0], g[3], out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        np.multiply(g[2], tmp, out=h)
+        for yd, hd in y_rows:
+            yd[:, s] = hd
+
+
 def bilstm_forward_batched(
     x: np.ndarray, params: LstmParams, keep_cache: bool = True
 ) -> tuple[np.ndarray, dict | None]:
@@ -102,62 +237,48 @@ def bilstm_forward_batched(
     # product lands as one [B, H] block per gate and direction.
     w_t = wb.reshape(2, 4, hs, -1)[:, PACKED].transpose(1, 0, 3, 2).copy()
     w_t[:3] *= 0.5
-    xh = np.zeros((2, nb, d + 1 + hs), dtype=ct)
-    xh[:, :, d] = 1
-    h = xh[:, :, d + 1 :]  # the state is written in place, next to the next input
-    tmp = np.empty((2, nb, hs), dtype=ct)
     y = np.empty((nb, t, 2 * hs), dtype=ct)
     # Records of every step, cell states from the zero state on; without a
     # cache, one gate slab and two alternating cell slabs.
     gates = np.empty((t if keep_cache else 1, 4, 2, nb, hs), dtype=ct)
     cells = np.zeros((t + 1 if keep_cache else 2, 2, nb, hs), dtype=ct)
-    for s in range(t):
-        g = gates[s % len(gates)]
-        c_prev, c = cells[s % len(cells)], cells[(s + 1) % len(cells)]
-        xh[0, :, :d] = x[:, s]
-        xh[1, :, :d] = x[:, t - 1 - s]
-        np.matmul(xh, w_t, out=g)
-        np.tanh(g, out=g)
-        sig = g[:3]
-        sig *= 0.5
-        sig += 0.5
-        np.multiply(g[1], c_prev, out=c)
-        np.multiply(g[0], g[3], out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        np.multiply(g[2], tmp, out=h)
-        y[:, s, :hs] = h[0]
-        y[:, t - 1 - s, hs:] = h[1]
+    _by_direction(
+        lambda dirs: _forward_steps(dirs, x, w_t, y, gates, cells), split_directions(nb, d, hs)
+    )
     if not keep_cache:
         return y, None
     return y, {"x": x, "wb": wb, "gates": gates, "cells": cells, "y": y, "hidden_size": hs}
 
 
-def bilstm_backward_batched(
-    cache: dict, gy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
-    x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
-    hs = cache["hidden_size"]
+def _backward_blocks(dirs: slice, k: int, gy, x, wb, gates, cells, y, gwb) -> np.ndarray:
+    """The blocked backward for the directions in ``dirs``: adds to their
+    rows of gwb and returns their summed input cotangent, [T, B, D]."""
     nb, t, d = x.shape
+    hs = gates.shape[-1]
     ct = gates.dtype
+    wb, gwb, gates, cells = wb[dirs], gwb[dirs], gates[:, :, dirs], cells[:, dirs]
+    nd = len(wb)
     # Gate cotangents dz follow the stored i, f, g, o order, so the
     # products below take wb as it is.
-    wx = np.ascontiguousarray(wb[:, :, :d])  # [2, 4H, D]
-    wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [2, 4H, H]
-    k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
-    coef = np.empty((k, 4, 2, nb, hs), dtype=ct)
+    wx = np.ascontiguousarray(wb[:, :, :d])  # [n, 4H, D]
+    wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [n, 4H, H]
+    coef = np.empty((k, 4, nd, nb, hs), dtype=ct)
     ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
-    gh = np.empty((k, 2, nb, hs), dtype=ct)  # output cotangent in step order
-    dz = np.empty((2, k, nb, 4 * hs), dtype=ct)
-    dz_gates = dz.reshape(2, k, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [k, 4, 2, B, H]
-    xh = np.empty((2, k, nb, d + 1 + hs), dtype=ct)  # step rows [x_t, 1, h_prev]
+    gh = np.empty((k, nd, nb, hs), dtype=ct)  # output cotangent in step order
+    dz = np.empty((nd, k, nb, 4 * hs), dtype=ct)
+    dz_gates = dz.reshape(nd, k, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [k, 4, n, B, H]
+    xh = np.empty((nd, k, nb, d + 1 + hs), dtype=ct)  # step rows [x_t, 1, h_prev]
     xh[:, :, :, d] = 1
-    gx = np.zeros((t, nb, d), dtype=ct)  # time-major; returned as a [B, T, D] view
-    gwb = np.zeros_like(wb)
-    dh = np.zeros((2, nb, hs), dtype=ct)
-    dc = np.zeros((2, nb, hs), dtype=ct)
-    tmp = np.empty((2, nb, hs), dtype=ct)
+    gx = np.zeros((t, nb, d), dtype=ct)  # time-major
+    # Direction 1's step s is time T-1-s: as reversed views, every
+    # direction's step s is index s.
+    xs = [x, x[:, ::-1]][dirs]
+    ys = [y[:, :, :hs], y[:, ::-1, hs:]][dirs]
+    gys = [gy[:, :, :hs], gy[:, ::-1, hs:]][dirs]
+    gxs = [gx, gx[::-1]][dirs]
+    dh = np.zeros((nd, nb, hs), dtype=ct)
+    dc = np.zeros((nd, nb, hs), dtype=ct)
+    tmp = np.empty((nd, nb, hs), dtype=ct)
     for s1 in range(t, 0, -k):
         s0 = max(0, s1 - k)
         n = s1 - s0
@@ -176,9 +297,8 @@ def bilstm_backward_batched(
         dc_dh = np.square(tc, out=tc)  # tc is not read again
         np.subtract(1, dc_dh, out=dc_dh)
         dc_dh *= go
-        # The backward direction's step s is time T-1-s.
-        gh[:n, 0] = gy[:, s0:s1, :hs].transpose(1, 0, 2)
-        gh[:n, 1] = gy[:, t - s1 : t - s0, hs:][:, ::-1].transpose(1, 0, 2)
+        for i, gyd in enumerate(gys):
+            gh[:n, i] = gyd[:, s0:s1].transpose(1, 0, 2)
         for j in range(n - 1, -1, -1):
             dh += gh[j]
             np.multiply(dh, dc_dh[j], out=tmp)
@@ -187,21 +307,38 @@ def bilstm_backward_batched(
             np.multiply(coef[j, 3], dh, out=dz_gates[j, 3])
             dc *= gf[j]
             np.matmul(dz[:, j], wh, out=dh)
-        dz_rows = dz[:, :n].reshape(2, n * nb, 4 * hs)
-        gx_steps = np.matmul(dz_rows, wx).reshape(2, n, nb, d)
-        gx[s0:s1] += gx_steps[0]
-        gx[t - s1 : t - s0] += gx_steps[1, ::-1]
+        dz_rows = dz[:, :n].reshape(nd, n * nb, 4 * hs)
+        gx_steps = np.matmul(dz_rows, wx).reshape(nd, n, nb, d)
         # Weight and bias cotangents: dz against the block's step rows;
         # the first step's previous state is zero.
-        xh[0, :n, :, :d] = x[:, s0:s1].transpose(1, 0, 2)
-        xh[1, :n, :, :d] = x[:, t - s1 : t - s0][:, ::-1].transpose(1, 0, 2)
         lo = max(s0, 1)
-        xh[0, lo - s0 : n, :, d + 1 :] = y[:, lo - 1 : s1 - 1, :hs].transpose(1, 0, 2)
-        h_bw = y[:, t - s1 + 1 : t - lo + 1, hs:]
-        xh[1, lo - s0 : n, :, d + 1 :] = h_bw[:, ::-1].transpose(1, 0, 2)
+        for i, (gxd, xd, yd) in enumerate(zip(gxs, xs, ys)):
+            gxd[s0:s1] += gx_steps[i]
+            xh[i, :n, :, :d] = xd[:, s0:s1].transpose(1, 0, 2)
+            xh[i, lo - s0 : n, :, d + 1 :] = yd[:, lo - 1 : s1 - 1].transpose(1, 0, 2)
         if s0 == 0:
             xh[:, 0, :, d + 1 :] = 0
-        gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(2, n * nb, -1))
+        gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(nd, n * nb, -1))
+    return gx
+
+
+def bilstm_backward_batched(
+    cache: dict, gy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
+    x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
+    hs = cache["hidden_size"]
+    nb, t, d = x.shape
+    # Block length from both directions' record, so the weight cotangent
+    # sums the same blocks on either schedule.
+    k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
+    gwb = np.zeros_like(wb)
+    gx, *other = _by_direction(
+        lambda dirs: _backward_blocks(dirs, k, gy, x, wb, gates, cells, y, gwb),
+        split_directions(nb, d, hs),
+    )
+    for part in other:
+        gx += part  # each time step has one term per direction: a + b == b + a
     gw = np.delete(gwb, d, axis=2)
     gb = gwb[:, :, d]
     return gx.transpose(1, 0, 2), gw[0], gb[0], gw[1], gb[1]

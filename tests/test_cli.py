@@ -14,7 +14,7 @@ import pytest
 
 from avse import cli
 from avse.data.synth import synth_scene
-from avse.data.tensorfile import write_tensor
+from avse.data.tensorfile import read_tensor, write_tensor
 from avse.data.wavio import load_wav, save_wav
 from avse.model.config import default_config, scaled_config, tiny_config
 from avse.model.params import count_parameters, init_parameters, parameter_shapes
@@ -166,6 +166,27 @@ class TestSynth:
         wav_b = next(b.glob("*_target.wav"))
         assert wav_a.read_bytes() != wav_b.read_bytes()
 
+    def test_config_sets_the_frame_size_and_train_accepts_it(self, tmp_path):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(tiny_config().to_json(), encoding="utf-8")
+        data, full = tmp_path / "data", tmp_path / "full"
+        common = ["--scenes", "1", "--seed", "0", "--duration", "0.5"]
+        assert _run(["synth", "--out", str(data), "--config", str(cfg), *common])[0] == 0
+        assert _run(["synth", "--out", str(full), *common])[0] == 0
+        assert read_tensor(next(data.glob("*_frames.avst"))).shape[1:] == (1, 16, 16)
+        assert read_tensor(next(full.glob("*_frames.avst"))).shape[1:] == (1, 32, 32)
+        code, _ = _run(["train", "--data", str(data), "--config", str(cfg), "--epochs", "1",
+                        "--out", str(tmp_path / "m.avck")])
+        assert code == 0
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_exits_two_naming_it(self, tmp_path, capsys, duration):
+        code = cli.main(["synth", "--out", str(tmp_path), "--scenes", "1",
+                         "--duration", duration])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duration_s" in err and f"got {float(duration)}" in err
+
 
 class TestMix:
     def test_writes_a_mixture_of_the_same_length(self, tmp_path):
@@ -193,6 +214,20 @@ class TestMix:
              str(tmp_path / "m.wav")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("snr", ["1e308", "-1e308", "nan", "inf"])
+    def test_unusable_snr_exits_two_naming_it(self, tmp_path, capsys, snr):
+        """NaN, infinite and out-of-range SNRs are refused before mixing:
+        no traceback, no late "non-finite samples" from the WAV writer."""
+        a, b = tmp_path / "a.wav", tmp_path / "b.wav"
+        save_wav(a, Stream(0).uniform(800, -0.5, 0.5), 16000)
+        save_wav(b, Stream(1).uniform(800, -0.5, 0.5), 16000)
+        code = cli.main(["mix", "--target", str(a), "--interferer", str(b),
+                         f"--snr={snr}", "--out", str(tmp_path / "m.wav")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "snr_db" in err and str(float(snr)) in err
+        assert not (tmp_path / "m.wav").exists()
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code = cli.main(

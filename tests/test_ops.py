@@ -4,11 +4,15 @@ Hand cases pin exact arithmetic; shape laws and error paths pin the
 contracts.  Gradient agreement lives in test_gradients.py.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from avse import ops
 from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
+from avse.model.config import default_config, tiny_config
 from avse.ops import rnn
 from avse.ops.rnn import LstmParams, bilstm_backward_batched, bilstm_forward_batched
 from avse.prng import Stream
@@ -364,10 +368,48 @@ def _random_lstm(stream, d, h, scale=0.5):
     return LstmParams(*(scale * randn(stream, shape) for shape in shapes))
 
 
+@pytest.fixture
+def schedule(request, monkeypatch):
+    """Forces the BiLSTM schedule: "fused" runs both directions on the
+    calling thread, "split" runs the backward one on the worker."""
+    split = request.param == "split"
+    monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: split)
+    return request.param
+
+
+SCHEDULES = pytest.mark.parametrize("schedule", ["fused", "split"], indirect=True)
+
+
+def over_schedules(argnames, cases):
+    """Every case under both schedules: a fused case keeps the case's own
+    id, a split case's id starts with "split-"."""
+
+    def case_id(case):
+        return "-".join(getattr(v, "__name__", str(v)) for v in case)
+
+    params = [
+        pytest.param(schedule, *case, id=prefix + case_id(case))
+        for schedule, prefix in (("fused", ""), ("split", "split-"))
+        for case in cases
+    ]
+    return pytest.mark.parametrize(f"schedule,{argnames}", params, indirect=["schedule"])
+
+
+def _saturated_case(dtype):
+    """Pre-activations at +-1e4, so every gate sits at 0 or 1."""
+    stream = Stream(422)
+    d, h = 3, 4
+    p = _random_lstm(stream, d, h, scale=1e-2)
+    signs = np.where(np.arange(4 * h) % 2 == 0, 1e4, -1e4)
+    p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, signs, p.w_bw, -signs)))
+    x = randn(stream, (2, 5, d)).astype(dtype)
+    gy = randn(stream, (2, 5, 2 * h)).astype(dtype)
+    return p, x, gy
+
+
 class TestBilstmBatched:
-    @pytest.mark.parametrize("nb", [1, 3])
-    @pytest.mark.parametrize("t", [1, 2, 7])
-    def test_matches_per_step_reference(self, nb, t):
+    @over_schedules("t,nb", [(t, nb) for t in (1, 2, 7) for nb in (1, 3)])
+    def test_matches_per_step_reference(self, schedule, nb, t):
         d, h = 5, 3
         stream = Stream(400 + 10 * nb + t)
         p = _random_lstm(stream, d, h)
@@ -400,17 +442,11 @@ class TestBilstmBatched:
         assert y_plain.dtype == dtype
         assert np.array_equal(y_cached, y_plain)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_saturated_gates_raise_nothing(self, dtype):
+    @over_schedules("dtype", [(np.float32,), (np.float64,)])
+    def test_saturated_gates_raise_nothing(self, schedule, dtype):
         """Pre-activations at +-1e4 saturate every gate without a floating
         point warning, forward and backward."""
-        stream = Stream(422)
-        d, h = 3, 4
-        p = _random_lstm(stream, d, h, scale=1e-2)
-        signs = np.where(np.arange(4 * h) % 2 == 0, 1e4, -1e4)
-        p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, signs, p.w_bw, -signs)))
-        x = randn(stream, (2, 5, d)).astype(dtype)
-        gy = randn(stream, (2, 5, 2 * h)).astype(dtype)
+        p, x, gy = _saturated_case(dtype)
         with np.errstate(all="raise"):
             y, cache = bilstm_forward_batched(x, p)
             cotangents = bilstm_backward_batched(cache, gy)
@@ -418,7 +454,8 @@ class TestBilstmBatched:
         assert np.abs(y).max() > 0.7  # saturated, not zeroed
         assert all(np.isfinite(c).all() for c in cotangents)
 
-    def test_blocked_backward_matches_reference(self):
+    @SCHEDULES
+    def test_blocked_backward_matches_reference(self, schedule):
         """Across several backward blocks, ending in a partial one, the
         output matches the per-step reference and each of the five
         cotangents matches the reference's central difference along a
@@ -449,7 +486,8 @@ class TestBilstmBatched:
             numeric = (loss(plus) - loss(minus)) / (2 * FD_STEP)
             assert rel_err(numeric, float((analytic * v).sum())) < 1e-4, i
 
-    def test_transposed_view_input_is_bit_identical(self):
+    @SCHEDULES
+    def test_transposed_view_input_is_bit_identical(self, schedule):
         """A [B, T, D] view of time-major data gives what the same data
         made contiguous gives, output and all five cotangents."""
         stream = Stream(424)
@@ -465,3 +503,126 @@ class TestBilstmBatched:
             bilstm_backward_batched(cache_view, gy), bilstm_backward_batched(cache_copy, gy)
         ):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_schedule_is_bit_identical_to_fused(self, monkeypatch, dtype):
+        """Output with and without a cache and all five cotangents, over
+        several backward blocks ending in a partial one."""
+        nb, t, d, h = 40, 10, 3, 256
+        stream = Stream(425)
+        p = _random_lstm(stream, d, h, scale=0.1)
+        p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, p.b_fw, p.w_bw, p.b_bw)))
+        x = randn(stream, (nb, t, d)).astype(dtype)
+        gy = randn(stream, (nb, t, 2 * h)).astype(dtype)
+        runs = []
+        for split in (False, True):
+            monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: split)
+            y, cache = bilstm_forward_batched(x, p)
+            y_plain, _ = bilstm_forward_batched(x, p, keep_cache=False)
+            runs.append([y, y_plain, *bilstm_backward_batched(cache, gy)])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    @pytest.mark.parametrize("schedule", ["split"], indirect=True)
+    def test_errstate_holds_in_the_worker(self, schedule):
+        """An infinite output cotangent on the backward direction alone
+        meets a zero gate coefficient (inf * 0) on the worker thread;
+        np.errstate(all="raise") set here must raise there."""
+        p, x, gy = _saturated_case(np.float64)
+        gy[:, :, p.hidden_size :] = np.inf
+        _, cache = bilstm_forward_batched(x, p)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            bilstm_backward_batched(cache, gy)
+
+    def test_split_runs_the_backward_direction_on_the_worker(self):
+        threads = {}
+
+        def run(dirs):
+            threads[dirs.start] = threading.get_ident()
+            return dirs
+
+        assert rnn._by_direction(run, False) == [slice(0, 2)]
+        assert threads == {0: threading.get_ident()}
+        assert rnn._by_direction(run, True) == [slice(0, 1), slice(1, 2)]
+        assert threads[0] == threading.get_ident() != threads[1]
+
+    def test_worker_exception_reaches_the_caller(self):
+        done = []
+
+        def run(dirs):
+            if dirs.start == 1:
+                raise ValueError("worker direction failed")
+            done.append(dirs)
+
+        with pytest.raises(ValueError, match="worker direction failed"):
+            rnn._by_direction(run, True)
+        assert done == [slice(0, 1)]
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        """Six threads call the split BiLSTM at once, with the interpreter
+        switching threads every microsecond; each gets exactly what a
+        lone fused call gives."""
+        stream = Stream(427)
+        p = _random_lstm(stream, 5, 6)
+        cases = [(randn(stream, (3, 8, 5)), randn(stream, (3, 8, 12))) for _ in range(6)]
+
+        def forward_backward(x, gy):
+            y, cache = bilstm_forward_batched(x, p)
+            return [y, *bilstm_backward_batched(cache, gy)]
+
+        monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: False)
+        expected = [forward_backward(x, gy) for x, gy in cases]
+        monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: True)
+        results = [None] * len(cases)
+
+        def work(i):
+            for _ in range(5):
+                results[i] = forward_backward(*cases[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_small_steps_one_cpu_or_threaded_blas_never_touch_the_worker(self, monkeypatch):
+        def no_worker():
+            raise AssertionError("the worker was used")
+
+        monkeypatch.setattr(rnn, "_worker", no_worker)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        tiny, full = tiny_config(), default_config()
+        tiny_dh = (tiny.fusion_channels, tiny.sep_hidden)
+        full_dh = (full.fusion_channels, full.sep_hidden)
+        stream = Stream(426)
+        for cpus, blas, nb, (d, h) in (
+            ({0, 1}, "1", 4, tiny_dh),
+            ({0, 1}, "1", 999, tiny_dh),
+            ({0}, "1", 100, full_dh),
+            ({0, 1}, "2", 100, full_dh),
+            ({0, 1}, None, 100, full_dh),  # unset: BLAS uses both CPUs
+        ):
+            monkeypatch.setattr(rnn.os, "sched_getaffinity", lambda pid: cpus)
+            if blas is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+            assert not rnn.split_directions(nb, d, h)
+            p = _random_lstm(stream, d, h, scale=0.1)
+            y, cache = bilstm_forward_batched(randn(stream, (nb, 2, d)), p)
+            bilstm_backward_batched(cache, y)
+        # The default config's intra step at 1 s (39 chunks) splits on two
+        # CPUs with one BLAS thread, however that thread count is set.
+        monkeypatch.setattr(rnn.os, "sched_getaffinity", lambda pid: {0, 1})
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+            assert rnn.split_directions(39, *full_dh)
+            monkeypatch.delenv(var)

@@ -11,6 +11,15 @@ in float32 and float64.  A run dumps ``network.enhance``,
 the ``si_sdr`` and ``stoi`` scores of the ``enhance_fwd`` output
 against the scene target: 384 arrays.
 
+Each checkout's line states how many CPUs its subprocess's affinity set
+held and the BLAS thread variable it saw.  They decide which BiLSTM
+schedule the run covered (``avse.ops.rnn.split_directions``): with two
+CPUs per BLAS thread, a checkout that splits the directions runs the
+default config's on two threads and the tiny config's still on one;
+otherwise every BiLSTM runs on one thread.  Run with
+``OPENBLAS_NUM_THREADS=1`` on two or more CPUs to cover the split, and
+under ``taskset -c 0`` to cover the one-thread schedule.
+
 Every array's worst deviation is printed relative to that array's
 largest entry, and the exit code is 1 if any exceeds ``--tol`` (default
 0, meaning bit-identical).  A cotangent whose largest entry is below
@@ -72,16 +81,20 @@ def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
         raise SystemExit(f"{tree} has no src/avse")
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import sys, avse; sys.path.insert(0, sys.argv[1])\n"
+        "import os, sys, avse; sys.path.insert(0, sys.argv[1])\n"
         "if not avse.__file__.startswith(sys.argv[2]):\n"
         "    raise SystemExit(f'imported {avse.__file__}, not {sys.argv[2]}')\n"
-        "import equiv; equiv.dump(sys.argv[3])"
+        "import equiv; equiv.dump(sys.argv[3])\n"
+        "print(len(os.sched_getaffinity(0)))"
     )
     here = str(Path(__file__).resolve().parent)
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", code, here, str(src.resolve()), str(out_path)],
-        env=env, check=True,
+        env=env, check=True, stdout=subprocess.PIPE, text=True,
     )
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"{tree}: ran with {proc.stdout.split()[-1]} CPUs in its affinity set, "
+          f"OPENBLAS_NUM_THREADS {blas}")
     with np.load(out_path) as z:
         return {k: z[k] for k in z.files}
 
