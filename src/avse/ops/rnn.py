@@ -30,18 +30,25 @@ records: each block's coefficients, step rows [x_t, 1, h_prev], gate
 cotangents and its input and weight cotangent products stay in cache,
 and nothing sized by all T steps is built besides the output.
 
-The two directions share no state, so each may run on its own core.
-The time loop and the block loop are each one function over a slice of
-the direction axis: the calling thread runs slice(0, 2), or slice(0, 1)
+The two directions share no state, so in inference each may run on
+its own core.  The time loop is one function over a slice of the
+direction axis: the calling thread runs slice(0, 2), or slice(0, 1)
 while one persistent worker thread runs slice(1, 2).  Either schedule
 gives the same bits.  Every GEMM keeps its shape and operands, every
 elementwise step is the same per element, and each thread writes only
-its own direction's parts of the output and the records.  The block
-length comes from both directions' record either way, so the weight
-cotangent sums the same blocks.  In the backward each thread
-accumulates its input cotangent into its own [T, B, D] buffer, and the
-two are added once after the join: time t gets exactly one term per
-direction, and a + b == b + a.
+its own direction's parts of the output.
+
+Only the forward without a cache splits; training (the forward that
+keeps its records, and the backward) stays on the calling thread.
+Split, a training step runs as fast as the slower of the two cores
+allows, and on a host whose cores other tenants share that swings from
+run to run.  Default-config training at 1 s per step read 0.59-0.67
+audio s per s split with the second core idle, 0.45 with another
+process on it, and 0.39-0.46 on one thread either way; over ten runs
+the split's quartiles lay 0.18 audio s per s apart against 0.02 for
+one thread.  A training run lasts long enough to meet every load the
+host goes through, so its time would be the least predictable figure
+the package reports.
 
 ``split_directions`` picks the worker when a per-step, per-direction
 GEMM [B, D+1+H] x [D+1+H, 4H] is at least SPLIT_FLOPS and this process
@@ -55,10 +62,9 @@ Measured on a 2-core guest (one BLAS thread, float32, medians of 11
 alternating pairs, fused time over split time), the forward crossed 1
 between 6 and 13 MFLOP per step: D=64, H=32 read 0.83 at 3.2 MFLOP,
 1.22 at 6.4 and 1.56 at 12.7; D=128, H=64 read 0.78, 0.99 and 1.18;
-D=256, H=128 read 0.96 at 4.7 and 1.49 at 9.5.  The backward crossed
-lower.  The default config's steps are 15 MFLOP (intra, 1 s) and
-39 MFLOP (inter), the tiny config's 0.4 MFLOP and 1.7 kFLOP, so
-training the tiny config keeps the single-thread loop.
+D=256, H=128 read 0.96 at 4.7 and 1.49 at 9.5.  The default config's
+steps are 15 MFLOP (intra, 1 s) and 39 MFLOP (inter), the tiny
+config's 0.4 MFLOP and 1.7 kFLOP.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ _pool_lock = threading.Lock()
 
 
 def _worker() -> ThreadPoolExecutor:
-    """The one persistent thread that runs the backward direction."""
+    """The one persistent thread that runs the time-reversed direction."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -242,43 +248,39 @@ def bilstm_forward_batched(
     # cache, one gate slab and two alternating cell slabs.
     gates = np.empty((t if keep_cache else 1, 4, 2, nb, hs), dtype=ct)
     cells = np.zeros((t + 1 if keep_cache else 2, 2, nb, hs), dtype=ct)
-    _by_direction(
-        lambda dirs: _forward_steps(dirs, x, w_t, y, gates, cells), split_directions(nb, d, hs)
-    )
+    # Only inference splits; see the module docstring.
+    split = not keep_cache and split_directions(nb, d, hs)
+    _by_direction(lambda dirs: _forward_steps(dirs, x, w_t, y, gates, cells), split)
     if not keep_cache:
         return y, None
     return y, {"x": x, "wb": wb, "gates": gates, "cells": cells, "y": y, "hidden_size": hs}
 
 
-def _backward_blocks(dirs: slice, k: int, gy, x, wb, gates, cells, y, gwb) -> np.ndarray:
-    """The blocked backward for the directions in ``dirs``: adds to their
-    rows of gwb and returns their summed input cotangent, [T, B, D]."""
+def bilstm_backward_batched(
+    cache: dict, gy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
+    x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
+    hs = cache["hidden_size"]
     nb, t, d = x.shape
-    hs = gates.shape[-1]
     ct = gates.dtype
-    wb, gwb, gates, cells = wb[dirs], gwb[dirs], gates[:, :, dirs], cells[:, dirs]
-    nd = len(wb)
     # Gate cotangents dz follow the stored i, f, g, o order, so the
     # products below take wb as it is.
-    wx = np.ascontiguousarray(wb[:, :, :d])  # [n, 4H, D]
-    wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [n, 4H, H]
-    coef = np.empty((k, 4, nd, nb, hs), dtype=ct)
+    wx = np.ascontiguousarray(wb[:, :, :d])  # [2, 4H, D]
+    wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [2, 4H, H]
+    k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
+    coef = np.empty((k, 4, 2, nb, hs), dtype=ct)
     ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
-    gh = np.empty((k, nd, nb, hs), dtype=ct)  # output cotangent in step order
-    dz = np.empty((nd, k, nb, 4 * hs), dtype=ct)
-    dz_gates = dz.reshape(nd, k, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [k, 4, n, B, H]
-    xh = np.empty((nd, k, nb, d + 1 + hs), dtype=ct)  # step rows [x_t, 1, h_prev]
+    gh = np.empty((k, 2, nb, hs), dtype=ct)  # output cotangent in step order
+    dz = np.empty((2, k, nb, 4 * hs), dtype=ct)
+    dz_gates = dz.reshape(2, k, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [k, 4, 2, B, H]
+    xh = np.empty((2, k, nb, d + 1 + hs), dtype=ct)  # step rows [x_t, 1, h_prev]
     xh[:, :, :, d] = 1
-    gx = np.zeros((t, nb, d), dtype=ct)  # time-major
-    # Direction 1's step s is time T-1-s: as reversed views, every
-    # direction's step s is index s.
-    xs = [x, x[:, ::-1]][dirs]
-    ys = [y[:, :, :hs], y[:, ::-1, hs:]][dirs]
-    gys = [gy[:, :, :hs], gy[:, ::-1, hs:]][dirs]
-    gxs = [gx, gx[::-1]][dirs]
-    dh = np.zeros((nd, nb, hs), dtype=ct)
-    dc = np.zeros((nd, nb, hs), dtype=ct)
-    tmp = np.empty((nd, nb, hs), dtype=ct)
+    gx = np.zeros((t, nb, d), dtype=ct)  # time-major; returned as a [B, T, D] view
+    gwb = np.zeros_like(wb)
+    dh = np.zeros((2, nb, hs), dtype=ct)
+    dc = np.zeros((2, nb, hs), dtype=ct)
+    tmp = np.empty((2, nb, hs), dtype=ct)
     for s1 in range(t, 0, -k):
         s0 = max(0, s1 - k)
         n = s1 - s0
@@ -297,8 +299,9 @@ def _backward_blocks(dirs: slice, k: int, gy, x, wb, gates, cells, y, gwb) -> np
         dc_dh = np.square(tc, out=tc)  # tc is not read again
         np.subtract(1, dc_dh, out=dc_dh)
         dc_dh *= go
-        for i, gyd in enumerate(gys):
-            gh[:n, i] = gyd[:, s0:s1].transpose(1, 0, 2)
+        # The backward direction's step s is time T-1-s.
+        gh[:n, 0] = gy[:, s0:s1, :hs].transpose(1, 0, 2)
+        gh[:n, 1] = gy[:, t - s1 : t - s0, hs:][:, ::-1].transpose(1, 0, 2)
         for j in range(n - 1, -1, -1):
             dh += gh[j]
             np.multiply(dh, dc_dh[j], out=tmp)
@@ -307,38 +310,21 @@ def _backward_blocks(dirs: slice, k: int, gy, x, wb, gates, cells, y, gwb) -> np
             np.multiply(coef[j, 3], dh, out=dz_gates[j, 3])
             dc *= gf[j]
             np.matmul(dz[:, j], wh, out=dh)
-        dz_rows = dz[:, :n].reshape(nd, n * nb, 4 * hs)
-        gx_steps = np.matmul(dz_rows, wx).reshape(nd, n, nb, d)
+        dz_rows = dz[:, :n].reshape(2, n * nb, 4 * hs)
+        gx_steps = np.matmul(dz_rows, wx).reshape(2, n, nb, d)
+        gx[s0:s1] += gx_steps[0]
+        gx[t - s1 : t - s0] += gx_steps[1, ::-1]
         # Weight and bias cotangents: dz against the block's step rows;
         # the first step's previous state is zero.
+        xh[0, :n, :, :d] = x[:, s0:s1].transpose(1, 0, 2)
+        xh[1, :n, :, :d] = x[:, t - s1 : t - s0][:, ::-1].transpose(1, 0, 2)
         lo = max(s0, 1)
-        for i, (gxd, xd, yd) in enumerate(zip(gxs, xs, ys)):
-            gxd[s0:s1] += gx_steps[i]
-            xh[i, :n, :, :d] = xd[:, s0:s1].transpose(1, 0, 2)
-            xh[i, lo - s0 : n, :, d + 1 :] = yd[:, lo - 1 : s1 - 1].transpose(1, 0, 2)
+        xh[0, lo - s0 : n, :, d + 1 :] = y[:, lo - 1 : s1 - 1, :hs].transpose(1, 0, 2)
+        h_bw = y[:, t - s1 + 1 : t - lo + 1, hs:]
+        xh[1, lo - s0 : n, :, d + 1 :] = h_bw[:, ::-1].transpose(1, 0, 2)
         if s0 == 0:
             xh[:, 0, :, d + 1 :] = 0
-        gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(nd, n * nb, -1))
-    return gx
-
-
-def bilstm_backward_batched(
-    cache: dict, gy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
-    x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
-    hs = cache["hidden_size"]
-    nb, t, d = x.shape
-    # Block length from both directions' record, so the weight cotangent
-    # sums the same blocks on either schedule.
-    k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
-    gwb = np.zeros_like(wb)
-    gx, *other = _by_direction(
-        lambda dirs: _backward_blocks(dirs, k, gy, x, wb, gates, cells, y, gwb),
-        split_directions(nb, d, hs),
-    )
-    for part in other:
-        gx += part  # each time step has one term per direction: a + b == b + a
+        gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(2, n * nb, -1))
     gw = np.delete(gwb, d, axis=2)
     gb = gwb[:, :, d]
     return gx.transpose(1, 0, 2), gw[0], gb[0], gw[1], gb[1]

@@ -116,13 +116,19 @@ def stoi_reference(ref, est) -> float:
 GOLDEN_SCENE, GOLDEN_SEED, GOLDEN_SECONDS = 7, 3, 0.5
 
 
-def golden_case():
+def golden_inputs():
     """The tiny config in float64 on one fixed scene and parameter seed:
-    returns (enhanced waveform, negative SI-SDR loss, parameter cotangents)."""
+    returns (config, scene, mixture, parameters)."""
     config = tiny_config()
     scene = synth_scene(GOLDEN_SCENE, GOLDEN_SECONDS, config)
     mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=GOLDEN_SCENE)
-    params = init_parameters(config, GOLDEN_SEED, dtype=np.float64)
+    return config, scene, mixture, init_parameters(config, GOLDEN_SEED, dtype=np.float64)
+
+
+def golden_case():
+    """The golden inputs' enhanced waveform, negative SI-SDR loss and
+    parameter cotangents."""
+    config, scene, mixture, params = golden_inputs()
     out, cache = enhance_fwd(mixture, scene.frames, params, config)
     loss, g_out = si_sdr_loss_vjp(scene.target, out)
     return out, loss, enhance_bwd(cache, params, config, g_out)

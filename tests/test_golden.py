@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avse.model.config import tiny_config
+from avse.model.network import enhance
 from avse.ops import rnn
 
-from helpers import golden_case
+from helpers import golden_case, golden_inputs
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_tiny.npz"
 REL_TOL = 1e-10
@@ -37,13 +37,15 @@ def _rel_dev(actual, expected, scale):
     return float(np.abs(actual - expected).max() / scale)
 
 
-def _check_output_and_loss(recorded, out, loss):
+def test_output_and_loss_match_recording(golden):
+    recorded, (out, loss, _) = golden
     assert out.shape == recorded["out"].shape
     assert _rel_dev(out, recorded["out"], np.abs(recorded["out"]).max()) < REL_TOL
     assert abs(loss - recorded["loss"]) < REL_TOL * abs(recorded["loss"])
 
 
-def _check_gradients(recorded, grads):
+def test_every_gradient_matches_recording(golden):
+    recorded, (_, _, grads) = golden
     expected = {k.removeprefix("grad/"): v for k, v in recorded.items() if k.startswith("grad/")}
     assert sorted(grads.names()) == sorted(expected)
     assert sum(g.size for g in expected.values()) == 2009
@@ -56,26 +58,17 @@ def _check_gradients(recorded, grads):
         assert _rel_dev(grads[name], want, scale) < REL_TOL, name
 
 
-def test_output_and_loss_match_recording(golden):
-    recorded, (out, loss, _) = golden
-    _check_output_and_loss(recorded, out, loss)
-
-
-def test_every_gradient_matches_recording(golden):
-    recorded, (_, _, grads) = golden
-    _check_gradients(recorded, grads)
-
-
-def test_two_thread_schedule_matches_recording_bit_for_bit(golden, monkeypatch):
-    """The tiny config's BiLSTMs run on one thread; forced onto two, the
-    case matches the recording and the one-thread run exactly."""
-    recorded, (out, loss, grads) = golden
-    config = tiny_config()
+def test_inference_on_two_threads_matches_recording_bit_for_bit(golden, monkeypatch):
+    """Inference, forced to run each BiLSTM direction on its own thread,
+    matches the recorded output and the one-thread run exactly.  The tiny
+    config's steps are too small to split on their own."""
+    recorded, _ = golden
+    config, scene, mixture, params = golden_inputs()
     # 999 rows: the intra path's chunk count at 1 s, the tiny config's largest step.
     assert not rnn.split_directions(999, config.fusion_channels, config.sep_hidden)
+    fused = enhance(mixture, scene.frames, params, config)
     monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: True)
-    split_out, split_loss, split_grads = golden_case()
-    _check_output_and_loss(recorded, split_out, split_loss)
-    _check_gradients(recorded, split_grads)
-    assert np.array_equal(split_out, out) and split_loss == loss
-    assert all(np.array_equal(split_grads[name], grads[name]) for name in grads.names())
+    split = enhance(mixture, scene.frames, params, config)
+    assert split.shape == recorded["out"].shape
+    assert _rel_dev(split, recorded["out"], np.abs(recorded["out"]).max()) < REL_TOL
+    assert np.array_equal(split, fused)

@@ -370,14 +370,12 @@ def _random_lstm(stream, d, h, scale=0.5):
 
 @pytest.fixture
 def schedule(request, monkeypatch):
-    """Forces the BiLSTM schedule: "fused" runs both directions on the
-    calling thread, "split" runs the backward one on the worker."""
+    """Forces the schedule of the BiLSTM forward without a cache: "fused"
+    runs both directions on the calling thread, "split" runs the
+    time-reversed one on the worker."""
     split = request.param == "split"
     monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: split)
     return request.param
-
-
-SCHEDULES = pytest.mark.parametrize("schedule", ["fused", "split"], indirect=True)
 
 
 def over_schedules(argnames, cases):
@@ -395,18 +393,6 @@ def over_schedules(argnames, cases):
     return pytest.mark.parametrize(f"schedule,{argnames}", params, indirect=["schedule"])
 
 
-def _saturated_case(dtype):
-    """Pre-activations at +-1e4, so every gate sits at 0 or 1."""
-    stream = Stream(422)
-    d, h = 3, 4
-    p = _random_lstm(stream, d, h, scale=1e-2)
-    signs = np.where(np.arange(4 * h) % 2 == 0, 1e4, -1e4)
-    p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, signs, p.w_bw, -signs)))
-    x = randn(stream, (2, 5, d)).astype(dtype)
-    gy = randn(stream, (2, 5, 2 * h)).astype(dtype)
-    return p, x, gy
-
-
 class TestBilstmBatched:
     @over_schedules("t,nb", [(t, nb) for t in (1, 2, 7) for nb in (1, 3)])
     def test_matches_per_step_reference(self, schedule, nb, t):
@@ -415,10 +401,12 @@ class TestBilstmBatched:
         p = _random_lstm(stream, d, h)
         x = randn(stream, (nb, t, d))
         y, _ = bilstm_forward_batched(x, p)
+        y_plain, _ = bilstm_forward_batched(x, p, keep_cache=False)
         assert y.shape == (nb, t, 2 * h)
         for row in range(nb):
             ref = lstm_reference(x[row], p.w_fw, p.b_fw, p.w_bw, p.b_bw)
             assert np.abs(y[row] - ref).max() < 1e-12
+            assert np.abs(y_plain[row] - ref).max() < 1e-12
 
     def test_batch_rows_equal_single_row_calls(self):
         """Rows never mix: a batch of B gives what B one-row calls give
@@ -430,8 +418,8 @@ class TestBilstmBatched:
         rows = np.concatenate([bilstm_forward_batched(x[r : r + 1], p)[0] for r in range(5)])
         assert np.abs(y - rows).max() < 1e-12
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_output_without_cache_is_bit_identical(self, dtype):
+    @over_schedules("dtype", [(np.float32,), (np.float64,)])
+    def test_output_without_cache_is_bit_identical(self, schedule, dtype):
         stream = Stream(421)
         p = _random_lstm(stream, 4, 3)
         p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, p.b_fw, p.w_bw, p.b_bw)))
@@ -446,16 +434,23 @@ class TestBilstmBatched:
     def test_saturated_gates_raise_nothing(self, schedule, dtype):
         """Pre-activations at +-1e4 saturate every gate without a floating
         point warning, forward and backward."""
-        p, x, gy = _saturated_case(dtype)
+        stream = Stream(422)
+        d, h = 3, 4
+        p = _random_lstm(stream, d, h, scale=1e-2)
+        signs = np.where(np.arange(4 * h) % 2 == 0, 1e4, -1e4)
+        p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, signs, p.w_bw, -signs)))
+        x = randn(stream, (2, 5, d)).astype(dtype)
+        gy = randn(stream, (2, 5, 2 * h)).astype(dtype)
         with np.errstate(all="raise"):
             y, cache = bilstm_forward_batched(x, p)
             cotangents = bilstm_backward_batched(cache, gy)
+            y_plain, _ = bilstm_forward_batched(x, p, keep_cache=False)
+        assert np.array_equal(y_plain, y)
         assert y.dtype == dtype and np.isfinite(y).all()
         assert np.abs(y).max() > 0.7  # saturated, not zeroed
         assert all(np.isfinite(c).all() for c in cotangents)
 
-    @SCHEDULES
-    def test_blocked_backward_matches_reference(self, schedule):
+    def test_blocked_backward_matches_reference(self):
         """Across several backward blocks, ending in a partial one, the
         output matches the per-step reference and each of the five
         cotangents matches the reference's central difference along a
@@ -486,8 +481,7 @@ class TestBilstmBatched:
             numeric = (loss(plus) - loss(minus)) / (2 * FD_STEP)
             assert rel_err(numeric, float((analytic * v).sum())) < 1e-4, i
 
-    @SCHEDULES
-    def test_transposed_view_input_is_bit_identical(self, schedule):
+    def test_transposed_view_input_is_bit_identical(self):
         """A [B, T, D] view of time-major data gives what the same data
         made contiguous gives, output and all five cotangents."""
         stream = Stream(424)
@@ -505,35 +499,33 @@ class TestBilstmBatched:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_split_schedule_is_bit_identical_to_fused(self, monkeypatch, dtype):
-        """Output with and without a cache and all five cotangents, over
-        several backward blocks ending in a partial one."""
+    def test_split_forward_is_bit_identical_to_fused(self, monkeypatch, dtype):
+        """The forward without a cache, on a transposed view of time-major
+        data as the separator passes it, gives the same bits on either
+        schedule as the forward that keeps its records."""
         nb, t, d, h = 40, 10, 3, 256
         stream = Stream(425)
         p = _random_lstm(stream, d, h, scale=0.1)
         p = LstmParams(*(a.astype(dtype) for a in (p.w_fw, p.b_fw, p.w_bw, p.b_bw)))
-        x = randn(stream, (nb, t, d)).astype(dtype)
-        gy = randn(stream, (nb, t, 2 * h)).astype(dtype)
-        runs = []
+        x = randn(stream, (t, nb, d)).astype(dtype).transpose(1, 0, 2)
+        y, _ = bilstm_forward_batched(x, p)
         for split in (False, True):
             monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: split)
-            y, cache = bilstm_forward_batched(x, p)
-            y_plain, _ = bilstm_forward_batched(x, p, keep_cache=False)
-            runs.append([y, y_plain, *bilstm_backward_batched(cache, gy)])
-        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+            assert np.array_equal(bilstm_forward_batched(x, p, keep_cache=False)[0], y)
 
-    @pytest.mark.parametrize("schedule", ["split"], indirect=True)
-    def test_errstate_holds_in_the_worker(self, schedule):
-        """An infinite output cotangent on the backward direction alone
-        meets a zero gate coefficient (inf * 0) on the worker thread;
-        np.errstate(all="raise") set here must raise there."""
-        p, x, gy = _saturated_case(np.float64)
-        gy[:, :, p.hidden_size :] = np.inf
-        _, cache = bilstm_forward_batched(x, p)
+    def test_errstate_holds_in_the_worker(self):
+        """np.errstate(all="raise") set on the calling thread raises inside
+        the worker's direction, and the error reaches the caller."""
+
+        def run(dirs):
+            return np.divide(np.ones(2), 0.0) if dirs.start == 1 else None
+
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            bilstm_backward_batched(cache, gy)
+            rnn._by_direction(run, True)
+        with np.errstate(divide="ignore"):
+            assert np.isinf(rnn._by_direction(run, True)[1]).all()
 
-    def test_split_runs_the_backward_direction_on_the_worker(self):
+    def test_split_runs_the_reversed_direction_on_the_worker(self):
         threads = {}
 
         def run(dirs):
@@ -563,20 +555,19 @@ class TestBilstmBatched:
         lone fused call gives."""
         stream = Stream(427)
         p = _random_lstm(stream, 5, 6)
-        cases = [(randn(stream, (3, 8, 5)), randn(stream, (3, 8, 12))) for _ in range(6)]
+        cases = [randn(stream, (3, 8, 5)) for _ in range(6)]
 
-        def forward_backward(x, gy):
-            y, cache = bilstm_forward_batched(x, p)
-            return [y, *bilstm_backward_batched(cache, gy)]
+        def forward(x):
+            return bilstm_forward_batched(x, p, keep_cache=False)[0]
 
         monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: False)
-        expected = [forward_backward(x, gy) for x, gy in cases]
+        expected = [forward(x) for x in cases]
         monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: True)
         results = [None] * len(cases)
 
         def work(i):
             for _ in range(5):
-                results[i] = forward_backward(*cases[i])
+                results[i] = forward(cases[i])
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
         interval = sys.getswitchinterval()
@@ -589,8 +580,7 @@ class TestBilstmBatched:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for got, want in zip(results, expected):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(got, want) for got, want in zip(results, expected))
 
     def test_small_steps_one_cpu_or_threaded_blas_never_touch_the_worker(self, monkeypatch):
         def no_worker():
@@ -617,8 +607,7 @@ class TestBilstmBatched:
                 monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
             assert not rnn.split_directions(nb, d, h)
             p = _random_lstm(stream, d, h, scale=0.1)
-            y, cache = bilstm_forward_batched(randn(stream, (nb, 2, d)), p)
-            bilstm_backward_batched(cache, y)
+            bilstm_forward_batched(randn(stream, (nb, 2, d)), p, keep_cache=False)
         # The default config's intra step at 1 s (39 chunks) splits on two
         # CPUs with one BLAS thread, however that thread count is set.
         monkeypatch.setattr(rnn.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -626,3 +615,20 @@ class TestBilstmBatched:
             monkeypatch.setenv(var, "1")
             assert rnn.split_directions(39, *full_dh)
             monkeypatch.delenv(var)
+
+    def test_training_stays_on_the_calling_thread(self, monkeypatch):
+        """Where the forward without a cache splits, the forward that keeps
+        its records and the backward still never touch the worker."""
+
+        def no_worker():
+            raise AssertionError("the worker was used")
+
+        monkeypatch.setattr(rnn, "_worker", no_worker)
+        monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: True)
+        stream = Stream(428)
+        p = _random_lstm(stream, 5, 6)
+        x = randn(stream, (3, 8, 5))
+        y, cache = bilstm_forward_batched(x, p)
+        bilstm_backward_batched(cache, y)
+        with pytest.raises(AssertionError, match="the worker was used"):
+            bilstm_forward_batched(x, p, keep_cache=False)

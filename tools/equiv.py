@@ -15,8 +15,9 @@ Each checkout's line states how many CPUs its subprocess's affinity set
 held and the BLAS thread variable it saw.  They decide which BiLSTM
 schedule the run covered (``avse.ops.rnn.split_directions``): with two
 CPUs per BLAS thread, a checkout that splits the directions runs the
-default config's on two threads and the tiny config's still on one;
-otherwise every BiLSTM runs on one thread.  Run with
+default config's inference BiLSTMs on two threads, and its training
+ones and all of the tiny config's still on one; otherwise every BiLSTM
+runs on one thread.  Run with
 ``OPENBLAS_NUM_THREADS=1`` on two or more CPUs to cover the split, and
 under ``taskset -c 0`` to cover the one-thread schedule.
 
