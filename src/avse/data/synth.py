@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from avse.data.wavio import MAX_SAMPLES
 from avse.errors import ConfigError
 from avse.model.config import ModelConfig
 from avse.prng import Stream
@@ -57,8 +58,13 @@ def synth_scene(seed: int, duration_s: float, config: ModelConfig) -> Scene:
     """Deterministic scene of ``duration_s`` seconds at the config's rate."""
     if not (math.isfinite(duration_s) and duration_s >= 0.5):
         raise ConfigError(f"scene duration_s must be finite and at least 0.5 s, got {duration_s}")
-    root = Stream(seed)
     rate = config.sample_rate_hz
+    if duration_s > MAX_SAMPLES / rate:
+        raise ConfigError(
+            f"scene duration_s must be at most {MAX_SAMPLES / rate:.0f} s, the longest WAV "
+            f"file at {rate} Hz, got {duration_s}"
+        )
+    root = Stream(seed)
     n = int(round(duration_s * rate))
     t = np.arange(n) / rate
 

@@ -74,7 +74,8 @@ def parse_tensor(blob: bytes, label: str, offset: int = 0) -> tuple[np.ndarray, 
         raise CorruptFileError(
             f"{label}: payload holds {len(blob) - pos} bytes, shape {shape} needs {nbytes}"
         )
-    arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(shape).copy()
+    # A view of blob itself, so the payload is copied once, into the array.
+    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
     return arr, pos + nbytes
 
 

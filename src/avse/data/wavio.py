@@ -17,6 +17,8 @@ import numpy as np
 from avse.errors import CorruptFileError, DataError, UnsupportedFormatError
 
 _PCM = 1
+# The RIFF size field (36 header bytes + 2 per sample) is a uint32.
+MAX_SAMPLES = (2**32 - 37) // 2
 
 
 def load_wav(path) -> tuple[np.ndarray, int]:
@@ -72,6 +74,10 @@ def save_wav(path, wave: np.ndarray, sample_rate_hz: int) -> None:
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 1:
         raise UnsupportedFormatError(f"waveform must be 1-D, got shape {wave.shape}")
+    if wave.shape[0] > MAX_SAMPLES:
+        raise UnsupportedFormatError(
+            f"{wave.shape[0]} samples exceed the {MAX_SAMPLES} a PCM16 WAV file can hold"
+        )
     if not np.isfinite(wave).all():
         raise DataError("waveform contains non-finite samples")
     scaled = np.clip(wave, -1.0, 1.0) * 32767.0

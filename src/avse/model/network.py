@@ -28,6 +28,7 @@ from avse.ops import (
     linear,
     resize_linear_time,
 )
+from avse.ops.dense import _update
 from avse.ops.rnn import LstmParams, bilstm_forward_batched
 
 
@@ -203,15 +204,13 @@ def _sep_path_fwd(x, params, base, keep_cache=True):
     lstm = _unit_lstm(params, base)
     y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache)
     proj = linear(y, params[f"{base}.proj.w"], params[f"{base}.proj.b"])
+    cache = {"lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base} if keep_cache else None
+    del y, lstm_cache  # without a cache, the LSTM output dies here
     # Layer norm: one mean and variance over all of [C, Q, P] (one group),
     # gain and bias per channel.
     gamma, beta = params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"]
     normed = group_norm(np.moveaxis(proj, -1, 0), 1, gamma, beta)
-    out = x + np.moveaxis(normed, 0, -1)
-    if not keep_cache:
-        return out, None
-    cache = {"lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base}
-    return out, cache
+    return _update(np.add, np.moveaxis(normed, 0, -1), x), cache
 
 
 def separator_forward(fused: np.ndarray, params: ModelParams, config: ModelConfig) -> np.ndarray:
@@ -228,11 +227,13 @@ def separator_forward_fwd(fused, params, config, keep_cache=True):
     t_a = fused.shape[1]
     chunks = segment_time(fused, config.chunk_len, config.chunk_hop)  # [Q, P, C]
     units = []
+    # Rebinding chunks drops each path's input as soon as the next path
+    # has its own (unless a cache keeps it).
     for u in range(config.sep_units):
-        intra_out, intra_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.intra", keep_cache)
-        swapped = intra_out.transpose(1, 0, 2)  # [P, Q, C], a view
-        inter_out, inter_cache = _sep_path_fwd(swapped, params, f"sep.u{u}.inter", keep_cache)
-        chunks = inter_out.transpose(1, 0, 2)
+        chunks, intra_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.intra", keep_cache)
+        chunks = chunks.transpose(1, 0, 2)  # [P, Q, C], a view
+        chunks, inter_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.inter", keep_cache)
+        chunks = chunks.transpose(1, 0, 2)
         units.append({"intra": intra_cache, "inter": inter_cache})
     mask_in = overlap_add(chunks, config.chunk_hop, t_a)
     pre = conv1d(mask_in, params["mask.w"], params["mask.b"])

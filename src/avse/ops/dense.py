@@ -1,4 +1,12 @@
-"""Pointwise, affine, and normalization operations with VJPs."""
+"""Pointwise, affine, and normalization operations with VJPs.
+
+Every result owns its memory, and no input is ever written.  The affine
+and normalization ops build their result in one array they allocate and
+update it in place, in the same rounded operations, and so to the same
+bits, as the out-of-place formulas; an update whose NumPy result dtype
+differs from the array's (float32 activations with a float64 bias, say)
+allocates instead, so mixed dtypes promote as they always did.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +16,15 @@ from scipy.special import expit
 from avse.errors import ConfigError, ShapeError
 
 _ACTIVATIONS = ("relu", "sigmoid", "tanh")
+
+
+def _update(ufunc: np.ufunc, a: np.ndarray, b) -> np.ndarray:
+    """ufunc(a, b), written into a when that keeps the result dtype.
+
+    Only for an ``a`` the caller allocated itself."""
+    if np.result_type(a, b) == a.dtype:
+        return ufunc(a, b, out=a)
+    return ufunc(a, b)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -20,10 +37,10 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
         )
     if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {b.shape} does not match {w.shape[0]} output features")
-    y = x @ w.T
+    y = x.reshape(-1, w.shape[1]) @ w.T
     if b is not None:
-        y = y + b
-    return y
+        y = _update(np.add, y, b)
+    return y.reshape(x.shape[:-1] + (w.shape[0],))
 
 
 def linear_vjp(
@@ -35,10 +52,9 @@ def linear_vjp(
     """Cotangents of linear: returns (gx, gw, gb)."""
     if gy.shape != x.shape[:-1] + (w.shape[0],):
         raise ShapeError(f"cotangent shape {gy.shape} does not match output")
-    gx = gy @ w
     gy_flat = gy.reshape(-1, w.shape[0])
-    x_flat = x.reshape(-1, w.shape[1])
-    gw = gy_flat.T @ x_flat
+    gx = (gy_flat @ w).reshape(x.shape[:-1] + (w.shape[1],))
+    gw = gy_flat.T @ x.reshape(-1, w.shape[1])
     gb = gy_flat.sum(axis=0) if b is not None else None
     return gx, gw, gb
 
@@ -83,14 +99,15 @@ def _pooled_axes(ndim: int, keep_axes: tuple[int, ...]) -> tuple[int, ...]:
 def _group_norm_stats(
     x: np.ndarray, groups: int, eps: float, keep_axes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (xhat, inv_std) in the grouped layout of _grouped."""
+    """Returns (xhat, inv_std) in the grouped layout of _grouped; xhat is
+    a new array."""
     xg = _grouped(x, groups)
     axes = _pooled_axes(x.ndim, keep_axes)
     mu = xg.mean(axis=axes, keepdims=True)
     d = xg - mu
     var = (d * d).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    return d * inv, inv
+    return _update(np.multiply, d, inv), inv
 
 
 def _check_group_norm(x, groups, gamma, beta, keep_axes) -> None:
@@ -125,9 +142,9 @@ def group_norm(
     """
     _check_group_norm(x, groups, gamma, beta, keep_axes)
     xhat, _ = _group_norm_stats(x, groups, eps, keep_axes)
-    xhat = xhat.reshape(x.shape)
     per_channel = (-1,) + (1,) * (x.ndim - 1)
-    return gamma.reshape(per_channel) * xhat + beta.reshape(per_channel)
+    y = _update(np.multiply, xhat.reshape(x.shape), gamma.reshape(per_channel))
+    return _update(np.add, y, beta.reshape(per_channel))
 
 
 def group_norm_vjp(
@@ -152,8 +169,11 @@ def group_norm_vjp(
     axes = _pooled_axes(x.ndim, keep_axes)
     mean_g = gxh.mean(axis=axes, keepdims=True)
     mean_gx = (gxh * xh).mean(axis=axes, keepdims=True)
-    gx = (inv * (gxh - mean_g - xh * mean_gx)).reshape(x.shape)
-    return gx, ggamma, gbeta
+    # inv * (gxh - mean_g - xh * mean_gx), built inside gxh
+    gx = _update(np.subtract, gxh, mean_g)
+    gx = _update(np.subtract, gx, _update(np.multiply, xh, mean_gx))
+    gx = _update(np.multiply, gx, inv)
+    return gx.reshape(x.shape), ggamma, gbeta
 
 
 def _resize_positions(t_in: int, t_out: int) -> tuple[np.ndarray, np.ndarray]:

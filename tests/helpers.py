@@ -1,5 +1,6 @@
 """Shared test utilities: finite differences, relative error, the per-step
-BiLSTM reference and the pinned golden case."""
+BiLSTM reference, out-of-place references for the dense ops and the
+pinned golden case."""
 
 import numpy as np
 
@@ -46,6 +47,52 @@ def randn(stream: Stream, shape) -> np.ndarray:
     """Deterministic standard-normal tensor from a seeded stream."""
     n = int(np.prod(shape))
     return stream.normal(n).reshape(shape)
+
+
+# Out-of-place formulas of linear, group_norm and their VJPs, one
+# expression per result.  The ops build their results in place in the
+# same rounded operations, so they must match these bit for bit, dtype
+# promotion included.
+
+
+def linear_reference(x, w, b=None):
+    y = x @ w.T
+    return y if b is None else y + b
+
+
+def linear_vjp_reference(x, w, b, gy):
+    gy_flat = gy.reshape(-1, w.shape[0])
+    gb = gy_flat.sum(axis=0) if b is not None else None
+    return gy @ w, gy_flat.T @ x.reshape(-1, w.shape[1]), gb
+
+
+def _group_norm_stats_reference(x, groups, eps, keep_axes):
+    """(xhat, inv_std, pooled axes) in the [groups, C // groups, ...] layout."""
+    xg = x.reshape((groups, x.shape[0] // groups) + x.shape[1:])
+    axes = (1,) + tuple(a + 1 for a in range(1, x.ndim) if a not in keep_axes)
+    mu = xg.mean(axis=axes, keepdims=True)
+    d = xg - mu
+    var = (d * d).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return d * inv, inv, axes
+
+
+def group_norm_reference(x, groups, gamma, beta, eps=1e-5, *, keep_axes=()):
+    xhat, _, _ = _group_norm_stats_reference(x, groups, eps, keep_axes)
+    per_channel = (-1,) + (1,) * (x.ndim - 1)
+    return gamma.reshape(per_channel) * xhat.reshape(x.shape) + beta.reshape(per_channel)
+
+
+def group_norm_vjp_reference(x, groups, gamma, beta, gy, eps=1e-5, *, keep_axes=()):
+    xh, inv, axes = _group_norm_stats_reference(x, groups, eps, keep_axes)
+    positions = tuple(range(1, x.ndim))
+    ggamma = (gy * xh.reshape(x.shape)).sum(axis=positions)
+    gbeta = gy.sum(axis=positions)
+    gxh = (gy * gamma.reshape((-1,) + (1,) * (x.ndim - 1))).reshape(xh.shape)
+    mean_g = gxh.mean(axis=axes, keepdims=True)
+    mean_gx = (gxh * xh).mean(axis=axes, keepdims=True)
+    gx = (inv * (gxh - mean_g - xh * mean_gx)).reshape(x.shape)
+    return gx, ggamma, gbeta
 
 
 def _sigmoid(v):

@@ -187,6 +187,14 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "duration_s" in err and f"got {float(duration)}" in err
 
+    def test_duration_beyond_a_wav_file_exits_two_naming_it(self, tmp_path, capsys):
+        """Refused before anything is allocated, not a traceback from np.arange."""
+        code = cli.main(["synth", "--out", str(tmp_path), "--scenes", "1",
+                         "--duration", "1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duration_s" in err and "got 1e+300" in err
+
 
 class TestMix:
     def test_writes_a_mixture_of_the_same_length(self, tmp_path):

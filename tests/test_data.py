@@ -11,7 +11,7 @@ from avse.data.manifest import load_manifest
 from avse.data.mixer import fit_interferer, mix_scene
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
-from avse.data.wavio import load_wav, save_wav
+from avse.data.wavio import MAX_SAMPLES, load_wav, save_wav
 from avse.errors import (
     ConfigError,
     CorruptFileError,
@@ -116,6 +116,14 @@ class TestSaveWav:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(DataError):
             save_wav(tmp_path / "n.wav", np.array([0.0, np.nan]), 16000)
+
+    def test_more_samples_than_a_riff_size_field_holds_rejected(self, tmp_path):
+        """Refused before any pass over the samples: the broadcast input
+        allocates nothing, and no file is written."""
+        wave = np.broadcast_to(np.float64(0), (MAX_SAMPLES + 1,))
+        with pytest.raises(UnsupportedFormatError, match=str(MAX_SAMPLES)):
+            save_wav(tmp_path / "big.wav", wave, 16000)
+        assert not (tmp_path / "big.wav").exists()
 
 
 class TestTensorFile:

@@ -3,6 +3,7 @@ initialization, and the forward pipeline's shape and value laws."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,26 @@ class TestSeparator:
         fused = randn(Stream(41), (config.fusion_channels, 23))
         mask = separator_forward(fused, zeroed, config)
         assert np.array_equal(mask, np.full_like(fused, 0.5))
+
+    @pytest.mark.parametrize("seconds", [1.0, 3.0])
+    def test_inference_peak_memory_within_four_chunk_arrays(self, seconds):
+        """Without a cache a path holds at most its input, the projection,
+        the norm's centred copy and that copy's square at once: four
+        [Q, P, C] arrays, plus the LSTM's small step buffers.  Holding the
+        LSTM output past the projection, or the intra path's input while
+        the inter path runs, adds a whole fifth."""
+        config = default_config()
+        params = init_parameters(config, 3, dtype=np.float32)
+        t_a = int(seconds * config.sample_rate_hz) // config.enc_stride
+        fused = np.abs(randn(Stream(97), (config.fusion_channels, t_a))).astype(np.float32)
+        chunk_bytes = segment_time(fused, config.chunk_len, config.chunk_hop).nbytes
+        tracemalloc.start()
+        try:
+            separator_forward(fused, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
 
 
 class TestApplyMask:

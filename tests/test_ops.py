@@ -13,11 +13,22 @@ import pytest
 from avse import ops
 from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
 from avse.model.config import default_config, tiny_config
+from avse.model.network import _sep_path_fwd
+from avse.model.params import init_parameters
 from avse.ops import rnn
 from avse.ops.rnn import LstmParams, bilstm_backward_batched, bilstm_forward_batched
 from avse.prng import Stream
 
-from helpers import FD_STEP, lstm_reference, randn, rel_err
+from helpers import (
+    FD_STEP,
+    group_norm_reference,
+    group_norm_vjp_reference,
+    linear_reference,
+    linear_vjp_reference,
+    lstm_reference,
+    randn,
+    rel_err,
+)
 
 
 class TestConv1d:
@@ -264,6 +275,96 @@ class TestGroupNorm:
         for axes in ((0,), (3,), (1, 1)):
             with pytest.raises(ShapeError):
                 ops.group_norm(np.zeros((2, 3, 4)), 1, np.ones(2), np.zeros(2), keep_axes=axes)
+
+
+F32, F64 = np.float32, np.float64
+# (activation, weight or gain, bias or shift) dtypes: uniform, and the
+# mixes whose NumPy promotion an in-place update would silently drop.
+_DENSE_DTYPES = [(F32, F32, F32), (F64, F64, F64), (F32, F32, F64), (F32, F64, F64), (F64, F32, F32)]
+_DENSE_CALLS = (
+    "linear",
+    "linear_no_bias",
+    "linear_strided_input",
+    "linear_vjp",
+    "group_norm",
+    "group_norm_keep_axes",
+    "group_norm_channel_last_view",
+    "group_norm_vjp",
+    "group_norm_vjp_keep_axes",
+)
+
+
+def _dense_call(name, act, weight, bias):
+    """(op, out-of-place reference, args, kwargs) on fixed random inputs."""
+    s = Stream(95)
+    x, gy, xc, gyc, xl = (
+        randn(s, shape).astype(act)
+        for shape in ((4, 7, 6), (4, 7, 5), (6, 5, 4), (6, 5, 4), (5, 4, 6))
+    )
+    w, gamma = randn(s, (5, 6)).astype(weight), randn(s, (6,)).astype(weight)
+    b, beta = randn(s, (5,)).astype(bias), randn(s, (6,)).astype(bias)
+    keep = {"keep_axes": (1,)}
+    return {
+        "linear": (ops.linear, linear_reference, (x, w, b), {}),
+        "linear_no_bias": (ops.linear, linear_reference, (x, w), {}),
+        "linear_strided_input": (ops.linear, linear_reference, (x.transpose(1, 0, 2), w, b), {}),
+        "linear_vjp": (ops.linear_vjp, linear_vjp_reference, (x, w, b, gy), {}),
+        "group_norm": (ops.group_norm, group_norm_reference, (xc, 3, gamma, beta), {}),
+        "group_norm_keep_axes": (ops.group_norm, group_norm_reference, (xc, 3, gamma, beta), keep),
+        # the separator's layer norm: [C, Q, P] as a view of [Q, P, C]
+        "group_norm_channel_last_view": (
+            ops.group_norm, group_norm_reference, (np.moveaxis(xl, -1, 0), 1, gamma, beta), {}
+        ),
+        "group_norm_vjp": (
+            ops.group_norm_vjp, group_norm_vjp_reference, (xc, 3, gamma, beta, gyc), {}
+        ),
+        "group_norm_vjp_keep_axes": (
+            ops.group_norm_vjp, group_norm_vjp_reference, (xc, 3, gamma, beta, gyc), keep
+        ),
+    }[name]
+
+
+class TestDenseResultsOwnTheirMemory:
+    """linear, group_norm and their VJPs build results in place: never in
+    an input, and to the bits and dtype of the out-of-place formulas."""
+
+    @pytest.mark.parametrize(
+        "dtypes", _DENSE_DTYPES, ids=lambda d: "-".join(np.dtype(t).name for t in d)
+    )
+    @pytest.mark.parametrize("name", _DENSE_CALLS)
+    def test_matches_out_of_place_bits_without_writing_inputs(self, name, dtypes):
+        op, reference, args, kwargs = _dense_call(name, *dtypes)
+        inputs = [a for a in args if isinstance(a, np.ndarray)]
+        before = [a.copy() for a in inputs]
+        got, want = op(*args, **kwargs), reference(*args, **kwargs)
+        if not isinstance(got, tuple):
+            got, want = (got,), (want,)
+        for g, w in zip(got, want, strict=True):
+            if w is None:
+                assert g is None
+                continue
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+            assert not any(np.shares_memory(g, a) for a in inputs)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("keep_cache", [False, True])
+    @pytest.mark.parametrize("path", ["intra", "inter"])
+    def test_separator_path_leaves_its_input_untouched(self, path, keep_cache):
+        """The residual goes into the path's own norm output, never into
+        x, which the caller and a training cache still read."""
+        config = tiny_config()
+        params = init_parameters(config, 5)
+        chunks = randn(Stream(96), (3, config.chunk_len, config.fusion_channels))
+        x = chunks if path == "intra" else chunks.transpose(1, 0, 2)
+        before = x.copy()
+        out, cache = _sep_path_fwd(x, params, f"sep.u0.{path}", keep_cache)
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, x)
+        if keep_cache:
+            assert not np.shares_memory(out, cache["proj"])
+            assert not np.shares_memory(out, cache["y"])
 
 
 class TestResizeLinearTime:

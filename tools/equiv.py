@@ -9,7 +9,10 @@ in float32 and float64.  A run dumps ``network.enhance``,
 ``grad.enhance_fwd`` and every parameter cotangent of
 ``grad.enhance_bwd`` under the negative SI-SDR loss, plus that loss and
 the ``si_sdr`` and ``stoi`` scores of the ``enhance_fwd`` output
-against the scene target: 384 arrays.
+against the scene target: 384 arrays.  After the dumps it runs one more
+default-config float32 ``network.enhance`` call under ``tracemalloc``
+and reports that call's peak, the memory figure a change to the
+inference path cites.
 
 Each checkout's line states how many CPUs its subprocess's affinity set
 held and the BLAS thread variable it saw.  They decide which BiLSTM
@@ -37,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +49,9 @@ SCENE, PARAM_SEED, SECONDS = 7, 3, 1.0
 NEAR_ZERO_EPS = 1000  # real cotangents here stay above 1e-3 of the largest
 
 
-def dump(out_path: str) -> None:
-    """Write every compared array of this interpreter's ``avse`` to an .npz."""
+def dump(out_path: str) -> int:
+    """Write every compared array of this interpreter's ``avse`` to an .npz;
+    returns the tracemalloc peak of one default float32 enhance, in bytes."""
     from avse.data.mixer import mix_scene
     from avse.data.synth import synth_scene
     from avse.metrics import si_sdr, stoi
@@ -75,6 +80,18 @@ def dump(out_path: str) -> None:
                 arrays[f"{run}/grad/{name}"] = g
     np.savez(out_path, **arrays)
 
+    config = default_config()
+    scene = synth_scene(SCENE, SECONDS, config)
+    mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE)
+    params = init_parameters(config, PARAM_SEED, dtype=np.float32)
+    wave, frames = mixture.astype(np.float32), scene.frames.astype(np.float32)
+    tracemalloc.start()
+    try:
+        network.enhance(wave, frames, params, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
     src = tree / "src"
@@ -85,8 +102,8 @@ def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
         "import os, sys, avse; sys.path.insert(0, sys.argv[1])\n"
         "if not avse.__file__.startswith(sys.argv[2]):\n"
         "    raise SystemExit(f'imported {avse.__file__}, not {sys.argv[2]}')\n"
-        "import equiv; equiv.dump(sys.argv[3])\n"
-        "print(len(os.sched_getaffinity(0)))"
+        "import equiv; peak = equiv.dump(sys.argv[3])\n"
+        "print(len(os.sched_getaffinity(0)), peak)"
     )
     here = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
@@ -94,8 +111,10 @@ def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
         env=env, check=True, stdout=subprocess.PIPE, text=True,
     )
     blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    print(f"{tree}: ran with {proc.stdout.split()[-1]} CPUs in its affinity set, "
-          f"OPENBLAS_NUM_THREADS {blas}")
+    cpus, peak = proc.stdout.split()[-2:]
+    print(f"{tree}: ran with {cpus} CPUs in its affinity set, OPENBLAS_NUM_THREADS {blas}; "
+          f"default float32 enhance of {SECONDS:g} s peaked at {int(peak) / 2**20:.1f} MiB "
+          f"(tracemalloc)")
     with np.load(out_path) as z:
         return {k: z[k] for k in z.files}
 
