@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from avse.data.manifest import load_manifest
+from avse.data.manifest import ManifestEntry, load_manifest, write_manifest
 from avse.data.mixer import mix_scene
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
@@ -129,18 +129,9 @@ def _cmd_synth(args) -> int:
         save_wav(out_dir / interferer_name, scene.interferer, scene.sample_rate_hz)
         write_tensor(out_dir / frames_name, scene.frames.astype(np.float32))
         entries.append(
-            {
-                "id": scene.id,
-                "target_path": target_name,
-                "interferer_path": interferer_name,
-                "frames_path": frames_name,
-                "snr_db": scene.snr_db,
-            }
+            ManifestEntry(scene.id, target_name, interferer_name, frames_name, scene.snr_db)
         )
-    manifest_path = out_dir / "manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry) + "\n")
+    write_manifest(out_dir / "manifest.jsonl", entries)
     print(f"wrote {len(entries)} scenes to {out_dir}")
     return EXIT_OK
 
@@ -171,17 +162,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_enhance(args) -> int:
     checkpoint = load_checkpoint(args.model)
+    # Keep only what the forward pass reads, so the Adam moments are freed.
+    config, params = checkpoint.config, checkpoint.params
+    del checkpoint
     wave, rate = load_wav(args.audio)
-    if rate != checkpoint.config.sample_rate_hz:
+    if rate != config.sample_rate_hz:
         raise DataError(
-            f"audio is {rate} Hz but the model expects "
-            f"{checkpoint.config.sample_rate_hz} Hz"
+            f"audio is {rate} Hz but the model expects {config.sample_rate_hz} Hz"
         )
     frames = read_tensor(args.frames)
-    checkpoint.config.check_frames(frames, args.frames)
-    out = enhance(
-        wave.astype(np.float32), frames, checkpoint.params, checkpoint.config
-    )
+    config.check_frames(frames, args.frames)
+    out = enhance(wave.astype(np.float32), frames, params, config)
     save_wav(args.out, np.clip(out.astype(np.float64), -1.0, 1.0), rate)
     return EXIT_OK
 

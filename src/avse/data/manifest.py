@@ -5,11 +5,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from avse.errors import ManifestError
-
-_REQUIRED = ("id", "target_path", "interferer_path", "frames_path", "snr_db")
 
 
 @dataclass
@@ -23,6 +21,9 @@ class ManifestEntry:
     snr_db: float
 
 
+_REQUIRED = tuple(f.name for f in fields(ManifestEntry))
+
+
 def _finite_number(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
@@ -30,6 +31,14 @@ def _finite_number(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an integer too large for a float
         return False
+
+
+def write_manifest(path, entries: list[ManifestEntry]) -> None:
+    """One JSON object per entry and line, fields in declaration order;
+    paths are written as given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for entry in entries:
+            fh.write(json.dumps(asdict(entry)) + "\n")
 
 
 def load_manifest(path) -> list[ManifestEntry]:

@@ -28,11 +28,6 @@ class MetricReport:
     def to_json(self) -> str:
         return json.dumps({"id": self.id, "sisdr_db": self.sisdr_db, "stoi": self.stoi})
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        raw = json.loads(text)
-        return cls(id=raw["id"], sisdr_db=raw["sisdr_db"], stoi=raw["stoi"])
-
 
 def evaluate_pair(clean_path, enhanced_path, pair_id: str | None = None) -> MetricReport:
     """Load both files, trim to the shorter, and score."""

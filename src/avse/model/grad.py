@@ -190,4 +190,4 @@ def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> Model
     )
     grads["enc.w"] += gw
     grads["enc.b"] += gb
-    return ModelParams(grads)
+    return grads

@@ -1,9 +1,12 @@
 """Named parameter tensors: shape table, initialization, counting.
 
-The shape table is an ordered name -> shape map derived purely from the
-config, so the parameter count is a closed-form function of the config
-and checkpoints can validate every stored tensor against it.  Names are
-dotted paths:
+A parameter set is a plain ``dict`` from tensor name to array, in
+shape-table order; gradients and Adam moments are dicts of the same
+names.  The shape table is an ordered name -> shape map derived purely
+from the config, so the parameter count is a closed-form function of the
+config.  ``check_tensors`` is the one place a set of named tensors is
+held against a shape table: checkpoint parameters and moments, and the
+gradients and moments ``adam_step`` receives.  Names are dotted paths:
 
     enc.w, enc.b                       audio encoder kernel and bias
     vfn.front.{w,b}                    3-D frontend
@@ -23,7 +26,6 @@ start at one; norm gammas start at one, betas at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod, sqrt
 
 import numpy as np
@@ -33,29 +35,29 @@ from avse.model.config import ModelConfig
 from avse.prng import Stream
 
 
-@dataclass
-class ModelParams:
-    """Ordered collection of named parameter tensors."""
+ModelParams = dict[str, np.ndarray]
 
-    tensors: dict[str, np.ndarray]
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
-
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams({k: np.zeros_like(v) for k, v in self.tensors.items()})
-
-    def count(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+def check_tensors(
+    tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], what: str
+) -> None:
+    """Raise ShapeError unless ``tensors`` holds exactly the names of
+    ``shapes``, each with its shape; the message names the missing and
+    extra names and the first mis-shaped tensor."""
+    missing = sorted(set(shapes) - set(tensors))
+    extra = sorted(set(tensors) - set(shapes))
+    bad = next(
+        (n for n, shape in shapes.items() if n in tensors and tensors[n].shape != shape), None
+    )
+    problems = []
+    if missing:
+        problems.append(f"missing {missing}")
+    if extra:
+        problems.append(f"extra {extra}")
+    if bad is not None:
+        problems.append(f"{bad!r} has shape {tensors[bad].shape}, expected {shapes[bad]}")
+    if problems:
+        raise ShapeError(f"{what} do not match the shape table: " + "; ".join(problems))
 
 
 def _trunk_stages(config: ModelConfig) -> list[tuple[int, int]]:
@@ -153,4 +155,4 @@ def init_parameters(config: ModelConfig, seed: int, dtype=np.float32) -> ModelPa
         tensors[name] = _init_tensor(
             name, shape, stream.spawn(idx), config.sep_hidden, dtype
         )
-    return ModelParams(tensors)
+    return tensors

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avse.errors import ConfigError, CorruptCheckpointError, CorruptFileError
+from avse.errors import ConfigError, CorruptCheckpointError, CorruptFileError, ShapeError
 from avse.data.tensorfile import parse_tensor, tensor_block
 from avse.model.config import ModelConfig
-from avse.model.params import ModelParams, parameter_shapes
+from avse.model.params import ModelParams, check_tensors, parameter_shapes
 from avse.training.optimizer import OptimizerState
 
 MAGIC = b"AVCK"
@@ -79,6 +79,14 @@ def _read_named_blocks(blob: bytes, pos: int, count: int, label: str):
     return tensors, pos
 
 
+def _check(tensors, shapes, what: str) -> None:
+    """check_tensors, with a mismatch reported as checkpoint corruption."""
+    try:
+        check_tensors(tensors, shapes, what)
+    except ShapeError as exc:
+        raise CorruptCheckpointError(str(exc)) from exc
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     flags = _FLAG_OPTIMIZER if ckpt.optimizer is not None else 0
     config_bytes = ckpt.config.to_json().encode("utf-8")
@@ -87,8 +95,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     blob += struct.pack("<BBH", VERSION, flags, 0)
     blob += struct.pack("<I", len(config_bytes))
     blob += config_bytes
-    blob += struct.pack("<I", len(ckpt.params.tensors))
-    blob += _named_blocks(ckpt.params.tensors)
+    blob += struct.pack("<I", len(ckpt.params))
+    blob += _named_blocks(ckpt.params)
     if ckpt.optimizer is not None:
         opt = ckpt.optimizer
         blob += struct.pack("<Qdddd", opt.t, opt.lr, opt.beta1, opt.beta2, opt.eps)
@@ -131,19 +139,8 @@ def load_checkpoint(path) -> Checkpoint:
     pos += 4
     tensors, pos = _read_named_blocks(blob, pos, count, label)
     expected = parameter_shapes(config)
-    if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
-        raise CorruptCheckpointError(
-            f"{label}: tensor names do not match the config (missing {missing}, extra {extra})"
-        )
-    for name, arr in tensors.items():
-        if arr.shape != expected[name]:
-            raise CorruptCheckpointError(
-                f"{label}: tensor {name!r} has shape {arr.shape}, "
-                f"config requires {expected[name]}"
-            )
-    params = ModelParams({name: tensors[name] for name in expected})
+    _check(tensors, expected, f"{label}: parameters")
+    params = {name: tensors[name] for name in expected}
     optimizer = None
     if flags & _FLAG_OPTIMIZER:
         if len(blob) - pos < 8 + 4 * 8:
@@ -151,19 +148,10 @@ def load_checkpoint(path) -> Checkpoint:
         t, lr, beta1, beta2, eps = struct.unpack_from("<Qdddd", blob, pos)
         pos += 8 + 4 * 8
         moments, pos = _read_named_blocks(blob, pos, 2 * count, label)
-        m = {}
-        v = {}
-        for name in expected:
-            for prefix, store in (("m", m), ("v", v)):
-                key = f"{prefix}.{name}"
-                if key not in moments:
-                    raise CorruptCheckpointError(f"{label}: missing moment {key!r}")
-                if moments[key].shape != expected[name]:
-                    raise CorruptCheckpointError(
-                        f"{label}: moment {key!r} shape {moments[key].shape} "
-                        f"does not match parameter shape {expected[name]}"
-                    )
-                store[name] = moments[key]
+        moment_shapes = {f"{k}.{name}": s for k in "mv" for name, s in expected.items()}
+        _check(moments, moment_shapes, f"{label}: optimizer moments")
+        m = {name: moments[f"m.{name}"] for name in expected}
+        v = {name: moments[f"v.{name}"] for name in expected}
         optimizer = OptimizerState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     if pos != len(blob):
         raise CorruptCheckpointError(f"{label}: {len(blob) - pos} trailing bytes")

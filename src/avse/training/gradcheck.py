@@ -50,12 +50,10 @@ def grad_check(config: ModelConfig | None = None, seed: int = 0) -> float:
         y, _ = enhance_fwd(wave, frames, p, config)
         return si_sdr_loss_vjp(target, y)[0]
 
-    names = params.names()
-    per_tensor = max(1, -(-MIN_SAMPLES // len(names)))
+    per_tensor = max(1, -(-MIN_SAMPLES // len(params)))
     pick = root.spawn(_SUB_PICK)
     worst = 0.0
-    for name in names:
-        tensor = params.tensors[name]
+    for name, tensor in params.items():
         k = min(per_tensor, tensor.size)
         flat = pick.integers(k, tensor.size)
         for fi in flat:

@@ -44,7 +44,7 @@ def load_scene(entry: ManifestEntry, config: ModelConfig) -> Scene:
             f"scene {entry.id}: sample rates {rate_t}/{rate_i} Hz do not match "
             f"the configured {expected_rate} Hz"
         )
-    frames = read_tensor(entry.frames_path).astype(np.float64)
+    frames = read_tensor(entry.frames_path)
     config.check_frames(frames, f"scene {entry.id} ({entry.frames_path})")
     return Scene(
         id=entry.id,

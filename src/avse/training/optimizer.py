@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avse.errors import ShapeError
-from avse.model.params import ModelParams
+from avse.model.params import ModelParams, check_tensors
 
 
 @dataclass
@@ -35,11 +34,10 @@ def adam_step(
     params: ModelParams, grads: ModelParams, state: OptimizerState
 ) -> tuple[ModelParams, OptimizerState]:
     """One update; mutates params and state in place and returns them."""
-    for name, p in params.items():
-        if name not in grads.tensors or grads[name].shape != p.shape:
-            raise ShapeError(f"gradient for {name!r} missing or mis-shaped")
-        if name not in state.m or state.m[name].shape != p.shape:
-            raise ShapeError(f"optimizer moment for {name!r} missing or mis-shaped")
+    shapes = {name: p.shape for name, p in params.items()}
+    check_tensors(grads, shapes, "gradients")
+    check_tensors(state.m, shapes, "first moments")
+    check_tensors(state.v, shapes, "second moments")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t

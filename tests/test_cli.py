@@ -6,6 +6,7 @@ import json
 import re
 import shutil
 import time
+import weakref
 from contextlib import redirect_stdout
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from avse.model.config import default_config, scaled_config, tiny_config
 from avse.model.params import count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
 from avse.training.checkpoint import Checkpoint, save_checkpoint
+from avse.training.optimizer import init_optimizer
 
 
 def _run(argv):
@@ -333,6 +335,36 @@ class TestEnhanceErrors:
         code = cli.main(["enhance", "--model", str(model), "--audio", str(audio),
                          "--frames", str(frames), "--out", str(tmp_path / "o.wav")])
         assert code == 2
+
+
+class TestEnhanceMemory:
+    def test_adam_moments_are_freed_before_the_forward_pass(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        params = init_parameters(config, 0, dtype=np.float32)
+        model = tmp_path / "m.avck"
+        save_checkpoint(model, Checkpoint(config, params, init_optimizer(params)))
+        audio = tmp_path / "a.wav"
+        save_wav(audio, Stream(0).uniform(4000, -0.5, 0.5), config.sample_rate_hz)
+        frames = tmp_path / "f.avst"
+        write_tensor(frames, np.zeros((4, 1, 16, 16), dtype=np.float32))
+        moments = []
+        real_load, real_enhance = cli.load_checkpoint, cli.enhance
+
+        def load(path):
+            ckpt = real_load(path)
+            for store in (ckpt.optimizer.m, ckpt.optimizer.v):
+                moments.extend(weakref.ref(a) for a in store.values())
+            return ckpt
+
+        def enhance(*args):
+            assert moments and all(ref() is None for ref in moments)
+            return real_enhance(*args)
+
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        monkeypatch.setattr(cli, "enhance", enhance)
+        code = cli.main(["enhance", "--model", str(model), "--audio", str(audio),
+                         "--frames", str(frames), "--out", str(tmp_path / "o.wav")])
+        assert code == 0
 
 
 def _bad_frames(kind):

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from avse.data.manifest import load_manifest
+from avse.data.manifest import ManifestEntry, load_manifest, write_manifest
 from avse.data.mixer import fit_interferer, mix_scene
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
@@ -311,6 +311,22 @@ class TestLoadManifest:
         assert loaded[0].id == "S1"
         assert loaded[0].target_path == str(tmp_path / "t.wav")
         assert loaded[0].snr_db == 2.5
+
+    def test_write_then_load_round_trips(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        entries = [
+            ManifestEntry("S1", "t.wav", "i.wav", "f.avst", 2.5),
+            ManifestEntry("S2", str(tmp_path / "x" / "t2.wav"), "i2.wav", "f2.avst", -0.125),
+        ]
+        write_manifest(path, entries)
+        resolved = [
+            ManifestEntry(e.id, *(str(tmp_path / p) for p in (
+                e.target_path, e.interferer_path, e.frames_path)), e.snr_db)
+            for e in entries
+        ]
+        assert load_manifest(path) == resolved
+        write_manifest(path, resolved)
+        assert load_manifest(path) == resolved
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"

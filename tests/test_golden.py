@@ -47,7 +47,7 @@ def test_output_and_loss_match_recording(golden):
 def test_every_gradient_matches_recording(golden):
     recorded, (_, _, grads) = golden
     expected = {k.removeprefix("grad/"): v for k, v in recorded.items() if k.startswith("grad/")}
-    assert sorted(grads.names()) == sorted(expected)
+    assert sorted(grads) == sorted(expected)
     assert sum(g.size for g in expected.values()) == 2009
     top = max(np.abs(g).max() for g in expected.values())
     for name, want in expected.items():

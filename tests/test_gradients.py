@@ -245,12 +245,12 @@ class TestEndToEnd:
         from avse.model.params import init_parameters
         from avse.model.config import tiny_config
 
-        names = init_parameters(tiny_config(), 0).names()
+        names = list(init_parameters(tiny_config(), 0))
         real_bwd = gradcheck.enhance_bwd
         for i, name in enumerate(names):
             def corrupted(cache, params, config, g_out, _name=name):
                 grads = real_bwd(cache, params, config, g_out)
-                grads.tensors[_name] = grads.tensors[_name] * 3.0 + 1.0
+                grads[_name] = grads[_name] * 3.0 + 1.0
                 return grads
 
             monkeypatch.setattr(gradcheck, "enhance_bwd", corrupted)

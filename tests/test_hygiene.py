@@ -1,14 +1,20 @@
 """Source hygiene with no linter installed: every name a package module
-imports is used in that module.  Package ``__init__.py`` files import to
-re-export, so they are exempt."""
+imports is used in that module, and every public function, class and
+method the package defines is referenced somewhere in the repository.
+Package ``__init__.py`` files import to re-export, so they are exempt
+from the first check."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "avse"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "avse"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+# Where a reference to a package definition may live.
+SEARCHED = ("src", "tests", "tools", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +47,99 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public(nodes):
+    return [n for n in nodes if isinstance(n, _DEFS) and not n.name.startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Identifiers ``source`` reads: names, attributes, imported names, and
+    the dotted parts of string constants (bindings looked up by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def method_names(source: str) -> list[str]:
+    """Public method names of the top-level classes of ``source``."""
+    tree = ast.parse(source)
+    return [m.name for c in tree.body if isinstance(c, ast.ClassDef) for m in _public(c.body)]
+
+
+def unreferenced(source: str, read: list[set[str]], shared: set[str]) -> list[str]:
+    """Public top-level functions and classes of ``source``, and public
+    methods of those classes, that nothing reads; ``read`` holds the
+    ``referenced_names`` of every other text.  A method whose name is in
+    ``shared`` (defined by more than one class) counts as read only where
+    its class is in view: in ``source`` or in a text that names the class,
+    so another class's callers do not keep it alive."""
+    own = referenced_names(source)
+    anywhere = own.union(*read)
+    missing = []
+    for node in _public(ast.parse(source).body):
+        if node.name not in anywhere:
+            missing.append(f"{node.name} (line {node.lineno})")
+        if isinstance(node, ast.ClassDef):
+            in_view = own.union(*(names for names in read if node.name in names))
+            missing += [
+                f"{node.name}.{m.name} (line {m.lineno})"
+                for m in _public(node.body)
+                if m.name not in (in_view if m.name in shared else anywhere)
+            ]
+    return missing
+
+
+def test_reference_detector_flags_only_unreferenced_definitions():
+    package = (
+        "class Report:\n"
+        "    def to_json(self): ...\n"
+        "    def from_json(cls, text): ...\n"
+        "    def __eq__(self, other): ...\n"
+        "    def unique(self): ...\n"
+        "def used(): ...\n"
+        "def bound_by_name(): ...\n"
+        "def _private(): ...\n"
+        "def unused(): ...\n"
+    )
+    user = (
+        "from pkg import Report, used\n"
+        "Report().to_json()\n"
+        "setattr(pkg, 'bound_by_name', None)\n"
+    )
+    other_class = "Config.from_json(text)\nmake().unique()\n"
+    read = [referenced_names(user), referenced_names(other_class)]
+    assert unreferenced(package, read, {"to_json", "from_json"}) == [
+        "Report.from_json (line 3)",
+        "unused (line 9)",
+    ]
+
+
+def test_every_public_definition_is_referenced():
+    texts = {
+        path: path.read_text(encoding="utf-8")
+        for directory in SEARCHED
+        for path in sorted((REPO / directory).rglob("*.py"))
+    }
+    names = {path: referenced_names(text) for path, text in texts.items()}
+    package = sorted(PACKAGE.rglob("*.py"))
+    counts = Counter(name for path in package for name in method_names(texts[path]))
+    shared = {name for name, n in counts.items() if n > 1}
+    found = {}
+    for path in package:
+        read = [names[other] for other in texts if other != path]
+        missing = unreferenced(texts[path], read, shared)
+        if missing:
+            found[str(path.relative_to(PACKAGE))] = missing
+    assert found == {}

@@ -275,7 +275,7 @@ class TestEvaluatePair:
             MetricReport(id="x", sisdr_db=3.25, stoi=0.8125),
             MetricReport(id="y", sisdr_db=-1.5, stoi=0.5),
         ):
-            assert MetricReport.from_json(report.to_json()) == report
+            assert MetricReport(**json.loads(report.to_json())) == report
 
 
 class TestWriteReport:
@@ -287,7 +287,7 @@ class TestWriteReport:
         path = tmp_path / "report.jsonl"
         agg = write_report(path, reports)
         lines = path.read_text().strip().splitlines()
-        parsed = [MetricReport.from_json(line) for line in lines]
+        parsed = [MetricReport(**json.loads(line)) for line in lines]
         ids = [r.id for r in parsed]
         assert ids == ["a", "b", "aggregate"]
         assert agg.sisdr_db == 3.0

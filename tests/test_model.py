@@ -27,7 +27,7 @@ from avse.model.network import (
     visual_forward,
     visual_forward_fwd,
 )
-from avse.model.params import count_parameters, init_parameters, parameter_shapes
+from avse.model.params import check_tensors, count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
 
 from helpers import randn
@@ -127,20 +127,20 @@ class TestInitParameters:
     def test_same_seed_bit_identical(self):
         a = init_parameters(tiny_config(), 42)
         b = init_parameters(tiny_config(), 42)
-        assert a.names() == b.names()
-        for name in a.names():
+        assert list(a) == list(b)
+        for name in a:
             assert np.array_equal(a[name], b[name]), name
 
     def test_different_seeds_differ(self):
         a = init_parameters(tiny_config(), 0)
         b = init_parameters(tiny_config(), 1)
-        assert any(not np.array_equal(a[name], b[name]) for name in a.names())
+        assert any(not np.array_equal(a[name], b[name]) for name in a)
 
     def test_shapes_match_table(self):
         for config in (tiny_config(), default_config()):
             table = parameter_shapes(config)
             params = init_parameters(config, 0)
-            assert list(params.names()) == list(table)
+            assert list(params) == list(table)
             for name, shape in table.items():
                 assert params[name].shape == shape, name
 
@@ -150,7 +150,7 @@ class TestInitParameters:
         config = tiny_config()
         params = init_parameters(config, 3)
         h = config.sep_hidden
-        for name in params.names():
+        for name in params:
             tensor = params[name]
             leaf = name.rsplit(".", 1)[-1]
             if leaf == "gamma":
@@ -169,6 +169,22 @@ class TestInitParameters:
                 assert tensor.std() > 0, name
 
 
+class TestCheckTensors:
+    def test_matching_set_passes(self):
+        config = tiny_config()
+        check_tensors(init_parameters(config, 0), parameter_shapes(config), "parameters")
+
+    def test_names_missing_extra_and_first_mis_shaped(self):
+        shapes = {"a": (2,), "b": (3, 1), "c": (1,)}
+        tensors = {"b": np.zeros((1, 3)), "c": np.zeros(2), "z": np.zeros(1)}
+        with pytest.raises(ShapeError) as err:
+            check_tensors(tensors, shapes, "gradients")
+        assert str(err.value) == (
+            "gradients do not match the shape table: missing ['a']; extra ['z']; "
+            "'b' has shape (1, 3), expected (3, 1)"
+        )
+
+
 class TestCountParameters:
     def test_encoder_closed_form(self):
         shapes = parameter_shapes(default_config())
@@ -185,7 +201,7 @@ class TestCountParameters:
             shapes = parameter_shapes(config)
             total = sum(int(np.prod(s)) for s in shapes.values())
             assert total == count_parameters(config)
-            assert init_parameters(config, 0).count() == total
+            assert sum(v.size for v in init_parameters(config, 0).values()) == total
 
 
 class TestEncodeAudio:
@@ -283,13 +299,13 @@ class TestFuse:
         w = np.zeros_like(params["fusion.w"])  # [C, N + D_v, 1]
         for c in range(n):
             w[c, c, 0] = 1.0  # select the audio half, identity per channel
-        params.tensors["fusion.w"] = w
+        params["fusion.w"] = w
         y = fuse(a, v, params, config)
         assert np.allclose(y, a, atol=1e-12)  # a >= 0 so relu is identity
         w2 = np.zeros_like(w)
         for c in range(n):
             w2[c, n + c, 0] = 1.0  # select the visual half instead
-        params.tensors["fusion.w"] = w2
+        params["fusion.w"] = w2
         y2 = fuse(a, v, params, config)
         assert np.allclose(y2, np.maximum(v.T, 0.0), atol=1e-12)
 
@@ -335,7 +351,7 @@ class TestSeparator:
     def test_zero_network_gives_half(self):
         config = tiny_config()
         params = init_parameters(config, 0)
-        zeroed = params.zeros_like()
+        zeroed = {k: np.zeros_like(v) for k, v in params.items()}
         fused = randn(Stream(41), (config.fusion_channels, 23))
         mask = separator_forward(fused, zeroed, config)
         assert np.array_equal(mask, np.full_like(fused, 0.5))
@@ -423,10 +439,10 @@ class TestEnhance:
         the encoder's adjoint reconstruct something input-like."""
         config = tiny_config()
         params = init_parameters(config, 6)
-        params.tensors["mask.b"] = np.full_like(params["mask.b"], 20.0)
+        params["mask.b"] = np.full_like(params["mask.b"], 20.0)
         # decoder weight [N, 1, K] = encoder weight [N, 1, K] transposed in
         # channel sense; same array works because shapes coincide.
-        params.tensors["dec.w"] = params["enc.w"].copy()
+        params["dec.w"] = params["enc.w"].copy()
         wave = randn(Stream(52), (2000,))
         frames = randn(Stream(53), (2, 1, 16, 16))
         out = enhance(wave, frames, params, config)

@@ -25,6 +25,10 @@ from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
 from helpers import fd_grad, rel_err
 
 
+def _zeros_like(params):
+    return {name: np.zeros_like(p) for name, p in params.items()}
+
+
 class TestSiSdrLoss:
     def test_perfect_enhancement_strongly_negative(self):
         clean = Stream(110).normal(500)
@@ -71,37 +75,37 @@ class TestAdamStep:
 
     def test_zero_gradients_leave_parameters_unchanged(self):
         params, state = self._setup()
-        before = {n: params[n].copy() for n in params.names()}
-        params, state = adam_step(params, params.zeros_like(), state)
+        before = {n: params[n].copy() for n in params}
+        params, state = adam_step(params, _zeros_like(params), state)
         assert state.t == 1
-        for name in params.names():
+        for name in params:
             assert np.array_equal(params[name], before[name]), name
             assert not state.m[name].any()
             assert not state.v[name].any()
 
     def test_moments_decay_toward_zero_on_zero_gradients(self):
         params, state = self._setup()
-        grads = params.zeros_like()
-        for name in grads.names():
-            grads.tensors[name][...] = 1.0
+        grads = _zeros_like(params)
+        for name in grads:
+            grads[name][...] = 1.0
         params, state = adam_step(params, grads, state)
-        m_after_one = {n: np.abs(state.m[n]).max() for n in params.names()}
-        zero = params.zeros_like()
+        m_after_one = {n: np.abs(state.m[n]).max() for n in params}
+        zero = _zeros_like(params)
         for _ in range(10):
             params, state = adam_step(params, zero, state)
-        for name in params.names():
+        for name in params:
             assert np.abs(state.m[name]).max() < m_after_one[name]
 
     def test_first_step_with_unit_gradient(self):
         """Bias correction makes step one move by -lr/(1+eps) exactly."""
         params, state = self._setup(lr=1e-3)
-        before = {n: params[n].copy() for n in params.names()}
-        grads = params.zeros_like()
-        for name in grads.names():
-            grads.tensors[name][...] = 1.0
+        before = {n: params[n].copy() for n in params}
+        grads = _zeros_like(params)
+        for name in grads:
+            grads[name][...] = 1.0
         params, state = adam_step(params, grads, state)
         expected = -1e-3 / (1.0 + 1e-8)
-        for name in params.names():
+        for name in params:
             delta = params[name] - before[name]
             assert np.allclose(delta, expected, rtol=1e-9, atol=0), name
 
@@ -109,39 +113,49 @@ class TestAdamStep:
         runs = []
         for _ in range(2):
             params, state = self._setup()
-            grads = params.zeros_like()
-            for i, name in enumerate(grads.names()):
-                grads.tensors[name][...] = 0.1 * (i + 1)
+            grads = _zeros_like(params)
+            for i, name in enumerate(grads):
+                grads[name][...] = 0.1 * (i + 1)
             for _ in range(3):
                 params, state = adam_step(params, grads, state)
-            runs.append({n: params[n].copy() for n in params.names()})
+            runs.append({n: params[n].copy() for n in params})
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name])
 
     def test_shape_mismatch_rejected(self):
         params, state = self._setup()
-        grads = params.zeros_like()
-        grads.tensors["enc.w"] = np.zeros((1, 1, 1))
+        grads = _zeros_like(params)
+        grads["enc.w"] = np.zeros((1, 1, 1))
         with pytest.raises(ShapeError):
             adam_step(params, grads, state)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_mis_shaped_moment_rejected_before_any_update(self, moment):
+        params, state = self._setup()
+        getattr(state, moment)["dec.b"] = np.zeros(2)
+        before = params["enc.w"].copy()
+        with pytest.raises(ShapeError, match="'dec.b' has shape"):
+            adam_step(params, _zeros_like(params), state)
+        assert state.t == 0
+        assert np.array_equal(params["enc.w"], before)
 
 
 class TestClipGlobalNorm:
     def test_reports_pre_clip_norm_and_rescales(self):
         params = init_parameters(tiny_config(), 0, dtype=np.float64)
-        grads = params.zeros_like()
-        for name in grads.names():
-            grads.tensors[name][...] = 1.0
-        total = np.sqrt(sum(g.size for g in grads.tensors.values()))
+        grads = _zeros_like(params)
+        for name in grads:
+            grads[name][...] = 1.0
+        total = np.sqrt(sum(g.size for g in grads.values()))
         norm = clip_global_norm(grads, 5.0)
         assert abs(norm - total) < 1e-9
-        after = np.sqrt(sum((g**2).sum() for g in grads.tensors.values()))
+        after = np.sqrt(sum((g**2).sum() for g in grads.values()))
         assert abs(after - 5.0) < 1e-9
 
     def test_small_gradients_untouched(self):
         params = init_parameters(tiny_config(), 0, dtype=np.float64)
-        grads = params.zeros_like()
-        grads.tensors["enc.w"][0, 0, 0] = 0.25
+        grads = _zeros_like(params)
+        grads["enc.w"][0, 0, 0] = 0.25
         norm = clip_global_norm(grads, 5.0)
         assert norm == 0.25
         assert grads["enc.w"][0, 0, 0] == 0.25
@@ -154,8 +168,8 @@ class TestCheckpoint:
         optimizer = None
         if with_optimizer:
             optimizer = init_optimizer(params)
-            grads = params.zeros_like()
-            grads.tensors["enc.w"][...] = 0.5
+            grads = _zeros_like(params)
+            grads["enc.w"][...] = 0.5
             adam_step(params, grads, optimizer)
         return Checkpoint(config=config, params=params, optimizer=optimizer)
 
@@ -169,7 +183,7 @@ class TestCheckpoint:
         save_checkpoint(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
         assert loaded.config == ckpt.config
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             assert np.array_equal(loaded.params[name], ckpt.params[name])
 
     def test_enhance_identical_after_reload(self, tmp_path):
@@ -185,10 +199,19 @@ class TestCheckpoint:
 
     def test_shape_inconsistent_tensor_rejected(self, tmp_path):
         ckpt = self._checkpoint(with_optimizer=False)
-        ckpt.params.tensors["enc.w"] = np.zeros((2, 1, 16), dtype=np.float32)
+        ckpt.params["enc.w"] = np.zeros((2, 1, 16), dtype=np.float32)
         path = tmp_path / "bad.avck"
         save_checkpoint(path, ckpt)
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_mis_shaped_moment_rejected(self, tmp_path, moment):
+        ckpt = self._checkpoint(with_optimizer=True)
+        getattr(ckpt.optimizer, moment)["dec.b"] = np.zeros(2, dtype=np.float32)
+        path = tmp_path / "bad.avck"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CorruptCheckpointError, match=f"bad.avck.*'{moment}.dec.b' has shape"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -233,7 +256,7 @@ class TestTrainScenes:
         config = tiny_config()
         ckpt_a, _ = train_scenes(config, self._scenes(), 2, seed=9)
         ckpt_b, _ = train_scenes(config, self._scenes(), 2, seed=9)
-        for name in ckpt_a.params.names():
+        for name in ckpt_a.params:
             assert np.array_equal(ckpt_a.params[name], ckpt_b.params[name])
 
     def test_loss_improves_on_short_run(self):
