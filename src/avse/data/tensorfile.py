@@ -10,12 +10,20 @@ Layout, all little-endian:
     next ndim*4  uint32 extents
     rest         row-major float32 payload, 4 * product(extents) bytes
 
-Round trips are bit-identical.
+Round trips are bit-identical.  Readers work on the open file, field by
+field from its current position: every length is checked against the
+bytes left before anything is read or allocated, so a corrupt extent
+never sizes a buffer, and the payload is read straight into the array.
+The same helpers read the blocks of a checkpoint (``training.checkpoint``).
 """
 
 from __future__ import annotations
 
+import io
+import math
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,49 +42,65 @@ def write_tensor(path, tensor: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Read a float32 tensor; validates magic, version, dtype, and length."""
+    with open_source(path) as fh:
+        return read_block(fh, str(path))
+
+
+@contextmanager
+def open_source(path, error=CorruptFileError):
+    """Open ``path`` as a seekable binary file that the body must read to
+    its end.  A source that cannot seek, such as a pipe, is read whole
+    into memory first.  Bytes the body leaves unread, and an ``OSError``,
+    raise ``error`` naming the path."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            yield source
+            if left := _left(source):
+                raise error(f"{path}: {left} trailing bytes")
     except OSError as exc:
-        raise CorruptFileError(f"cannot read {path}: {exc}") from exc
-    arr, used = parse_tensor(blob, str(path))
-    if used != len(blob):
-        raise CorruptFileError(f"{path}: {len(blob) - used} trailing bytes after payload")
-    return arr
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
-def parse_tensor(blob: bytes, label: str, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one tensor block at ``offset``; returns (array, end offset)."""
-    if len(blob) - offset < 8:
-        raise CorruptFileError(f"{label}: truncated header")
-    magic = blob[offset : offset + 4]
+def _left(fh) -> int:
+    """Bytes between the position of ``fh`` and the end of its source."""
+    size = len(fh.getvalue()) if isinstance(fh, io.BytesIO) else os.fstat(fh.fileno()).st_size
+    return size - fh.tell()
+
+
+def read_exact(fh, n: int, label: str, what: str, error=CorruptFileError) -> bytes:
+    """The next ``n`` bytes of ``fh``; raises ``error`` naming ``label`` and
+    ``what`` when fewer are left.  The check comes before the read,
+    because ``read(n)`` allocates ``n`` bytes up front."""
+    _need(fh, n, label, what, error)
+    return fh.read(n)
+
+
+def _need(fh, n: int, label: str, what: str, error) -> None:
+    if n > (left := _left(fh)):
+        raise error(f"{label}: truncated {what}: needs {n} bytes, {left} left")
+
+
+def read_block(fh, label: str, error=CorruptFileError) -> np.ndarray:
+    """Read one tensor block from the position of ``fh``."""
+    magic, version, dtype, ndim, _ = struct.unpack(
+        "<4sBBBB", read_exact(fh, 8, label, "header", error)
+    )
     if magic != MAGIC:
-        raise CorruptFileError(f"{label}: magic {magic!r} is not {MAGIC!r}")
-    version, dtype, ndim, _ = struct.unpack_from("<BBBB", blob, offset + 4)
+        raise error(f"{label}: magic {magic!r} is not {MAGIC!r}")
     if version != VERSION:
-        raise CorruptFileError(f"{label}: unsupported version {version}")
+        raise error(f"{label}: unsupported version {version}")
     if dtype != DTYPE_F32:
-        raise CorruptFileError(f"{label}: unsupported dtype code {dtype}")
+        raise error(f"{label}: unsupported dtype code {dtype}")
     if ndim < 1:
-        raise CorruptFileError(f"{label}: ndim must be at least 1")
-    pos = offset + 8
-    if len(blob) - pos < 4 * ndim:
-        raise CorruptFileError(f"{label}: truncated extent list")
-    shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-    pos += 4 * ndim
-    count = 1
-    for d in shape:
-        if d < 1:
-            raise CorruptFileError(f"{label}: zero extent in shape {shape}")
-        count *= d
-    nbytes = 4 * count
-    if len(blob) - pos < nbytes:
-        raise CorruptFileError(
-            f"{label}: payload holds {len(blob) - pos} bytes, shape {shape} needs {nbytes}"
-        )
-    # A view of blob itself, so the payload is copied once, into the array.
-    arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
-    return arr, pos + nbytes
+        raise error(f"{label}: ndim must be at least 1")
+    shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, label, "extent list", error))
+    if 0 in shape:
+        raise error(f"{label}: zero extent in shape {shape}")
+    _need(fh, 4 * math.prod(shape), label, f"payload of shape {shape}", error)
+    arr = np.empty(shape, dtype="<f4")
+    fh.readinto(arr)
+    return arr
 
 
 def tensor_block(tensor: np.ndarray) -> bytes:

@@ -16,6 +16,7 @@ from avse.model.params import ModelParams
 from avse.model.network import (
     FRONT_STRIDE,
     _fold,
+    apply_mask,
     encode_audio_fwd,
     fuse_fwd,
     pad_to_hop,
@@ -44,7 +45,7 @@ def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig):
     v, vis_cache = visual_forward_fwd(frames, params, config)
     f, fuse_cache = fuse_fwd(a, v, params, config)
     m, sep_cache = separator_forward_fwd(f, params, config)
-    am = a * m
+    am = apply_mask(a, m)
     dec_out = conv_transpose1d(
         am, params["dec.w"], params["dec.b"], stride=config.enc_stride
     )

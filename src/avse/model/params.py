@@ -39,9 +39,10 @@ ModelParams = dict[str, np.ndarray]
 
 
 def check_tensors(
-    tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], what: str
+    tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], what: str,
+    error=ShapeError,
 ) -> None:
-    """Raise ShapeError unless ``tensors`` holds exactly the names of
+    """Raise ``error`` unless ``tensors`` holds exactly the names of
     ``shapes``, each with its shape; the message names the missing and
     extra names and the first mis-shaped tensor."""
     missing = sorted(set(shapes) - set(tensors))
@@ -57,7 +58,7 @@ def check_tensors(
     if bad is not None:
         problems.append(f"{bad!r} has shape {tensors[bad].shape}, expected {shapes[bad]}")
     if problems:
-        raise ShapeError(f"{what} do not match the shape table: " + "; ".join(problems))
+        raise error(f"{what} do not match the shape table: " + "; ".join(problems))
 
 
 def _trunk_stages(config: ModelConfig) -> list[tuple[int, int]]:

@@ -13,8 +13,11 @@ Binary layout, little-endian throughout:
                  then 2 * count tensor records named "m.<name>" / "v.<name>"
 
 Tensor records are written in sorted-name order, so load followed by
-save reproduces the file byte for byte.  Loading validates every tensor
-shape against the shape table derived from the embedded config.
+save reproduces the file byte for byte.  Loading reads the open file
+field by field with the bounded reads of ``data.tensorfile``, so a
+length that claims more than the file holds is refused before it sizes
+a buffer, and validates every tensor shape against the shape table
+derived from the embedded config.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avse.errors import ConfigError, CorruptCheckpointError, CorruptFileError, ShapeError
-from avse.data.tensorfile import parse_tensor, tensor_block
+from avse.errors import ConfigError, CorruptCheckpointError
+from avse.data.tensorfile import open_source, read_block, read_exact, tensor_block
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams, check_tensors, parameter_shapes
 from avse.training.optimizer import OptimizerState
@@ -44,47 +47,33 @@ class Checkpoint:
     optimizer: OptimizerState | None = None
 
 
-def _named_blocks(tensors: dict[str, np.ndarray]) -> bytes:
+def _named_blocks(tensors: dict[str, np.ndarray]) -> bytearray:
     out = bytearray()
     for name in sorted(tensors):
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded))
         out += encoded
         out += tensor_block(tensors[name])
-    return bytes(out)
+    return out
 
 
-def _read_named_blocks(blob: bytes, pos: int, count: int, label: str):
+def _unpack(fh, fmt: str, label: str, what: str) -> tuple:
+    """The next struct ``fmt`` of ``fh``; ``f"{n}s"`` reads n raw bytes."""
+    n = struct.calcsize(fmt)
+    return struct.unpack(fmt, read_exact(fh, n, label, what, CorruptCheckpointError))
+
+
+def _read_named_blocks(fh, count: int, label: str) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if len(blob) - pos < 2:
-            raise CorruptCheckpointError(f"{label}: truncated tensor name length")
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        if len(blob) - pos < name_len:
-            raise CorruptCheckpointError(f"{label}: truncated tensor name")
+        (name_len,) = _unpack(fh, "<H", label, "tensor name length")
+        (raw,) = _unpack(fh, f"{name_len}s", label, "tensor name")
         try:
-            name = blob[pos : pos + name_len].decode("utf-8")
+            name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptCheckpointError(f"{label}: tensor name is not UTF-8: {exc}") from exc
-        pos += name_len
-        try:
-            arr, pos = parse_tensor(blob, f"{label}: tensor {name!r}", pos)
-        except CorruptCheckpointError:
-            raise
-        except CorruptFileError as exc:
-            # tensor-block problems inside a checkpoint are checkpoint corruption
-            raise CorruptCheckpointError(str(exc)) from exc
-        tensors[name] = arr
-    return tensors, pos
-
-
-def _check(tensors, shapes, what: str) -> None:
-    """check_tensors, with a mismatch reported as checkpoint corruption."""
-    try:
-        check_tensors(tensors, shapes, what)
-    except ShapeError as exc:
-        raise CorruptCheckpointError(str(exc)) from exc
+        tensors[name] = read_block(fh, f"{label}: tensor {name!r}", CorruptCheckpointError)
+    return tensors
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -104,55 +93,35 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         moments.update({f"v.{k}": v for k, v in opt.v.items()})
         blob += _named_blocks(moments)
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CorruptCheckpointError(f"cannot read {path}: {exc}") from exc
     label = str(path)
-    if len(blob) < 8:
-        raise CorruptCheckpointError(f"{label}: too short for a header")
-    if blob[:4] != MAGIC:
-        raise CorruptCheckpointError(f"{label}: magic {blob[:4]!r} is not {MAGIC!r}")
-    version, flags, _ = struct.unpack_from("<BBH", blob, 4)
-    if version != VERSION:
-        raise CorruptCheckpointError(f"{label}: unsupported version {version}")
-    pos = 8
-    if len(blob) - pos < 4:
-        raise CorruptCheckpointError(f"{label}: truncated config length")
-    (config_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    if len(blob) - pos < config_len:
-        raise CorruptCheckpointError(f"{label}: truncated config record")
-    try:
-        config = ModelConfig.from_json(blob[pos : pos + config_len].decode("utf-8"))
-    except (UnicodeDecodeError, ConfigError) as exc:
-        raise CorruptCheckpointError(f"{label}: bad embedded config: {exc}") from exc
-    pos += config_len
-    if len(blob) - pos < 4:
-        raise CorruptCheckpointError(f"{label}: truncated tensor count")
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    tensors, pos = _read_named_blocks(blob, pos, count, label)
-    expected = parameter_shapes(config)
-    _check(tensors, expected, f"{label}: parameters")
-    params = {name: tensors[name] for name in expected}
-    optimizer = None
-    if flags & _FLAG_OPTIMIZER:
-        if len(blob) - pos < 8 + 4 * 8:
-            raise CorruptCheckpointError(f"{label}: truncated optimizer header")
-        t, lr, beta1, beta2, eps = struct.unpack_from("<Qdddd", blob, pos)
-        pos += 8 + 4 * 8
-        moments, pos = _read_named_blocks(blob, pos, 2 * count, label)
-        moment_shapes = {f"{k}.{name}": s for k in "mv" for name, s in expected.items()}
-        _check(moments, moment_shapes, f"{label}: optimizer moments")
-        m = {name: moments[f"m.{name}"] for name in expected}
-        v = {name: moments[f"v.{name}"] for name in expected}
-        optimizer = OptimizerState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    if pos != len(blob):
-        raise CorruptCheckpointError(f"{label}: {len(blob) - pos} trailing bytes")
+    with open_source(path, CorruptCheckpointError) as fh:
+        magic, version, flags, _ = _unpack(fh, "<4sBBH", label, "header")
+        if magic != MAGIC:
+            raise CorruptCheckpointError(f"{label}: magic {magic!r} is not {MAGIC!r}")
+        if version != VERSION:
+            raise CorruptCheckpointError(f"{label}: unsupported version {version}")
+        (config_len,) = _unpack(fh, "<I", label, "config length")
+        (raw,) = _unpack(fh, f"{config_len}s", label, "config record")
+        try:
+            config = ModelConfig.from_json(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ConfigError) as exc:
+            raise CorruptCheckpointError(f"{label}: bad embedded config: {exc}") from exc
+        (count,) = _unpack(fh, "<I", label, "tensor count")
+        tensors = _read_named_blocks(fh, count, label)
+        expected = parameter_shapes(config)
+        check_tensors(tensors, expected, f"{label}: parameters", CorruptCheckpointError)
+        params = {name: tensors[name] for name in expected}
+        optimizer = None
+        if flags & _FLAG_OPTIMIZER:
+            t, lr, beta1, beta2, eps = _unpack(fh, "<Qdddd", label, "optimizer header")
+            moments = _read_named_blocks(fh, 2 * count, label)
+            shapes = {f"{k}.{name}": s for k in "mv" for name, s in expected.items()}
+            check_tensors(moments, shapes, f"{label}: optimizer moments", CorruptCheckpointError)
+            m = {name: moments[f"m.{name}"] for name in expected}
+            v = {name: moments[f"v.{name}"] for name in expected}
+            optimizer = OptimizerState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     return Checkpoint(config=config, params=params, optimizer=optimizer)

@@ -109,6 +109,9 @@ def train_scenes(
                 raise NumericError(
                     f"non-finite gradient at epoch {epoch}, step {step}, scene {scene_id}"
                 )
+            # dec.b adds a constant, which SI-SDR cannot see: its gradient is
+            # rounding noise that Adam would scale into steps, so hold it.
+            grads["dec.b"][...] = 0.0
             params, state = adam_step(params, grads, state)
             losses.append(loss)
             sisdrs.append(si_sdr(target.astype(np.float64), out.astype(np.float64)))

@@ -1,6 +1,10 @@
 """Shared test utilities: finite differences, relative error, the per-step
-BiLSTM reference, out-of-place references for the dense ops and the
-pinned golden case."""
+BiLSTM reference, out-of-place references for the dense ops, the
+pinned golden case and the file-reader probes."""
+
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 
@@ -179,3 +183,35 @@ def golden_case():
     out, cache = enhance_fwd(mixture, scene.frames, params, config)
     loss, g_out = si_sdr_loss_vjp(scene.target, out)
     return out, loss, enhance_bwd(cache, params, config, g_out)
+
+
+def traced_peak(fn, *args):
+    """Run fn(*args) under tracemalloc; returns (its result, or the
+    exception it raised, and the peak of traced memory in bytes)."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except Exception as exc:  # returned for the caller to check
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def load_from_pipe(loader, data: bytes):
+    """loader("/dev/fd/N") where N is the read end of a pipe that one
+    writer thread fills with ``data``; the reader cannot seek."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return loader(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)  # a reader that stopped early leaves the writer blocked
+        writer.join()

@@ -24,7 +24,7 @@ from avse.metrics import si_sdr
 from avse.model.config import tiny_config
 from avse.prng import Stream
 
-from helpers import randn
+from helpers import load_from_pipe, randn, traced_peak
 
 
 def _pcm16_wav_bytes(samples, rate=16000):
@@ -169,6 +169,24 @@ class TestTensorFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CorruptFileError):
             read_tensor(path)
+
+    def test_huge_extent_refused_before_any_allocation(self, tmp_path):
+        """Extents (2**31, 3) claim a 24 GiB payload; the reader compares
+        that with the bytes left before it sizes any buffer."""
+        path = tmp_path / "huge.avst"
+        path.write_bytes(b"AVST" + bytes([1, 0, 2, 0]) + struct.pack("<II", 2**31, 3) + bytes(64))
+        err, peak = traced_peak(read_tensor, path)
+        assert isinstance(err, CorruptFileError)
+        assert "huge.avst" in str(err) and "(2147483648, 3)" in str(err)
+        assert peak < 2**20
+
+    def test_pipe_source_reads_like_the_file(self, tmp_path):
+        x = randn(Stream(82), (4, 1, 3, 5)).astype(np.float32)
+        path = tmp_path / "t.avst"
+        write_tensor(path, x)
+        back = load_from_pipe(read_tensor, path.read_bytes())
+        assert back.dtype == np.float32
+        assert np.array_equal(back, read_tensor(path))
 
 
 class TestMixScene:

@@ -1,6 +1,8 @@
 """Training-harness contracts: loss gradient, optimizer algebra,
 checkpoint bytes, and the loop's determinism and failure modes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from avse.errors import (
     NumericError,
     ShapeError,
 )
-from avse.model.config import tiny_config
+from avse.model.config import scaled_config, tiny_config
 from avse.model.network import enhance
 from avse.model.params import init_parameters
 from avse.prng import Stream
@@ -22,7 +24,7 @@ from avse.training.loss import si_sdr_loss_vjp
 from avse.training.loop import train_scenes
 from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, load_from_pipe, rel_err, traced_peak
 
 
 def _zeros_like(params):
@@ -233,6 +235,51 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """A 1.9 MB checkpoint with moments: 160 k parameters, so the bytes
+        of its arrays outweigh the loader's Python objects."""
+        config = scaled_config(tiny_config(), enc_channels=64, sep_hidden=64)
+        params = init_parameters(config, 2, dtype=np.float32)
+        optimizer = init_optimizer(params)
+        adam_step(params, {n: np.ones_like(p) for n, p in params.items()}, optimizer)
+        path = tmp_path_factory.mktemp("ckpt") / "big.avck"
+        save_checkpoint(path, Checkpoint(config, params, optimizer))
+        return path
+
+    def test_load_peak_is_the_returned_arrays(self, saved):
+        """Each payload is read into its array, with no whole-file buffer."""
+        loaded, peak = traced_peak(load_checkpoint, saved)
+        opt = loaded.optimizer
+        arrays = [*loaded.params.values(), *opt.m.values(), *opt.v.values()]
+        assert peak <= 1.25 * sum(a.nbytes for a in arrays)
+
+    @pytest.mark.parametrize("field", ["config length", "tensor name length"])
+    def test_length_past_the_end_refused_before_any_allocation(self, saved, tmp_path, field):
+        raw = bytearray(saved.read_bytes())
+        if field == "config length":
+            raw[8:12] = struct.pack("<I", 0xFFFFFFFF)
+        else:  # the first record's name length, with the file cut just after it
+            (config_len,) = struct.unpack_from("<I", raw, 8)
+            at = 12 + config_len + 4
+            raw[at : at + 2] = struct.pack("<H", 0xFFFF)
+            del raw[at + 10 :]
+        path = tmp_path / "long.avck"
+        path.write_bytes(bytes(raw))
+        err, peak = traced_peak(load_checkpoint, path)
+        assert isinstance(err, CorruptCheckpointError)
+        assert "long.avck" in str(err) and field.removesuffix(" length") in str(err)
+        assert peak < 2**20
+
+    def test_pipe_source_loads_like_the_file(self, saved):
+        piped, direct = load_from_pipe(load_checkpoint, saved.read_bytes()), load_checkpoint(saved)
+        assert piped.config == direct.config
+        for got, want in [(piped.params, direct.params), (piped.optimizer.m, direct.optimizer.m),
+                          (piped.optimizer.v, direct.optimizer.v)]:
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[n], want[n]) for n in want)
+
+
 class TestTrainScenes:
     def _scenes(self, n=2, dur=0.5):
         return [synth_scene(s, dur, tiny_config()) for s in range(n)]
@@ -263,6 +310,15 @@ class TestTrainScenes:
         config = tiny_config()
         _, logs = train_scenes(config, self._scenes(), 12, seed=0)
         assert logs[-1]["mean_loss"] < logs[0]["mean_loss"]
+
+    def test_decoder_bias_held_at_its_initial_value(self):
+        """dec.b's gradient is rounding noise (SI-SDR cannot see a constant
+        offset); training must not let Adam turn it into steps."""
+        config = tiny_config()
+        ckpt, _ = train_scenes(config, self._scenes(), 3, seed=4)
+        initial = init_parameters(config, 4, dtype=np.float32)
+        assert np.array_equal(ckpt.params["dec.b"], initial["dec.b"])
+        assert not np.array_equal(ckpt.params["dec.w"], initial["dec.w"])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):

@@ -9,7 +9,11 @@ in float32 and float64.  A run dumps ``network.enhance``,
 ``grad.enhance_fwd`` and every parameter cotangent of
 ``grad.enhance_bwd`` under the negative SI-SDR loss, plus that loss and
 the ``si_sdr`` and ``stoi`` scores of the ``enhance_fwd`` output
-against the scene target: 384 arrays.  After the dumps it runs one more
+against the scene target.  For the tiny float32 run it also dumps the
+bytes ``save_checkpoint`` writes for those parameters with the moments
+of one Adam step on those cotangents, and the bytes after one
+``load_checkpoint`` -> ``save_checkpoint`` round trip, each stored as
+float64 values: 386 arrays.  After the dumps it runs one more
 default-config float32 ``network.enhance`` call under ``tracemalloc``
 and reports that call's peak, the memory figure a change to the
 inference path cites.
@@ -60,6 +64,7 @@ def dump(out_path: str) -> int:
     from avse.model.grad import enhance_bwd, enhance_fwd
     from avse.model.params import init_parameters
     from avse.training.loss import si_sdr_loss_vjp
+    from avse.training.optimizer import adam_step, init_optimizer
 
     arrays = {}
     for cname, config in (("tiny", tiny_config()), ("default", default_config())):
@@ -76,8 +81,13 @@ def dump(out_path: str) -> int:
             arrays[f"{run}/loss"] = np.float64(loss)
             arrays[f"{run}/si_sdr"] = np.float64(si_sdr(scene.target, out))
             arrays[f"{run}/stoi"] = np.float64(stoi(scene.target, out, config.sample_rate_hz))
-            for name, g in enhance_bwd(cache, params, config, g_out).items():
+            grads = enhance_bwd(cache, params, config, g_out)
+            for name, g in grads.items():
                 arrays[f"{run}/grad/{name}"] = g
+            if run == "tiny/float32":
+                state = init_optimizer(params)
+                adam_step(params, grads, state)
+                arrays.update(checkpoint_bytes(config, params, state, f"{run}/checkpoint"))
     np.savez(out_path, **arrays)
 
     config = default_config()
@@ -91,6 +101,19 @@ def dump(out_path: str) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def checkpoint_bytes(config, params, state, prefix: str) -> dict[str, np.ndarray]:
+    """The file ``save_checkpoint`` writes and the file after a load and a
+    save of it, as float64 byte values (``compare`` takes float arrays)."""
+    from avse.training.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, resaved = Path(tmp) / "saved.avck", Path(tmp) / "resaved.avck"
+        save_checkpoint(saved, Checkpoint(config, params, state))
+        save_checkpoint(resaved, load_checkpoint(saved))
+        return {f"{prefix}/{p.stem}": np.frombuffer(p.read_bytes(), np.uint8).astype(np.float64)
+                for p in (saved, resaved)}
 
 
 def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
