@@ -173,7 +173,7 @@ def _cmd_enhance(args) -> int:
     frames = read_tensor(args.frames)
     config.check_frames(frames, args.frames)
     out = enhance(wave.astype(np.float32), frames, params, config)
-    save_wav(args.out, np.clip(out.astype(np.float64), -1.0, 1.0), rate)
+    save_wav(args.out, out, rate)
     return EXIT_OK
 
 

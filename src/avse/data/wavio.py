@@ -1,11 +1,11 @@
 """16-bit mono PCM WAV reading and writing.
 
 Reading accepts any RIFF/WAVE file holding PCM, 16-bit, single-channel
-audio at any rate, tolerating extra chunks before the payload.  Writing
-always produces the canonical 44-byte-header layout.  Samples map to
-floats by 1/32768 on load; saving clamps to [-1, 1), scales by 32767,
-and rounds half away from zero, so a round trip moves each sample by
-less than (0.5 + |x|)/32768.
+audio at 1 to ``MAX_RATE_HZ`` Hz, tolerating extra chunks before the
+payload.  Writing always produces the canonical 44-byte-header layout.
+Samples map to floats by 1/32768 on load; saving clamps to [-1, 1],
+scales by 32767, and rounds half away from zero, so a round trip moves
+each sample by less than (0.5 + |x|)/32768.
 """
 
 from __future__ import annotations
@@ -19,6 +19,15 @@ from avse.errors import CorruptFileError, DataError, UnsupportedFormatError
 _PCM = 1
 # The RIFF size field (36 header bytes + 2 per sample) is a uint32.
 MAX_SAMPLES = (2**32 - 37) // 2
+# So is the byte-rate field, 2 bytes per sample.
+MAX_RATE_HZ = (2**32 - 1) // 2
+
+
+def _check_rate(rate: int, where) -> None:
+    if not 0 < rate <= MAX_RATE_HZ:
+        raise UnsupportedFormatError(
+            f"{where}: sample rate {rate} Hz is outside 1..{MAX_RATE_HZ} Hz"
+        )
 
 
 def load_wav(path) -> tuple[np.ndarray, int]:
@@ -63,6 +72,7 @@ def load_wav(path) -> tuple[np.ndarray, int]:
         raise UnsupportedFormatError(f"{path}: {channels} channels, only mono is supported")
     if bits != 16:
         raise UnsupportedFormatError(f"{path}: {bits} bits per sample, only 16 is supported")
+    _check_rate(rate, path)
     if len(data) % 2 != 0:
         raise CorruptFileError(f"{path}: odd data size {len(data)} for 16-bit samples")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
@@ -71,6 +81,7 @@ def load_wav(path) -> tuple[np.ndarray, int]:
 
 def save_wav(path, wave: np.ndarray, sample_rate_hz: int) -> None:
     """Write a canonical PCM16 mono RIFF file (44-byte header + 2T bytes)."""
+    _check_rate(sample_rate_hz, path)
     wave = np.asarray(wave, dtype=np.float64)
     if wave.ndim != 1:
         raise UnsupportedFormatError(f"waveform must be 1-D, got shape {wave.shape}")
@@ -81,10 +92,10 @@ def save_wav(path, wave: np.ndarray, sample_rate_hz: int) -> None:
     if not np.isfinite(wave).all():
         raise DataError("waveform contains non-finite samples")
     scaled = np.clip(wave, -1.0, 1.0) * 32767.0
-    # round half away from zero, unlike numpy's round-half-even
+    # round half away from zero, unlike numpy's round-half-even; |quantized|
+    # <= 32767, so the int16 cast is exact
     quantized = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    pcm = np.clip(quantized, -32768, 32767).astype("<i2")
-    payload = pcm.tobytes()
+    payload = quantized.astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",

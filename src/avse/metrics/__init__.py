@@ -1,18 +1,1 @@
 """Objective evaluation: SI-SDR, STOI, and batch reports."""
-
-from avse.metrics.report import MetricReport, aggregate_report, evaluate_pair, write_report
-from avse.metrics.resample import resample
-from avse.metrics.sisdr import si_sdr
-from avse.metrics.stoi import BandDefinition, stoi, third_octave_bands
-
-__all__ = [
-    "si_sdr",
-    "stoi",
-    "resample",
-    "BandDefinition",
-    "third_octave_bands",
-    "MetricReport",
-    "evaluate_pair",
-    "write_report",
-    "aggregate_report",
-]

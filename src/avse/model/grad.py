@@ -24,16 +24,8 @@ from avse.model.network import (
     separator_forward_fwd,
     visual_forward_fwd,
 )
-from avse.ops import (
-    activation_vjp,
-    conv1d_vjp,
-    conv3d_vjp,
-    conv_transpose1d,
-    conv_transpose1d_vjp,
-    group_norm_vjp,
-    linear_vjp,
-    resize_linear_time_vjp,
-)
+from avse.ops.conv import conv1d_vjp, conv3d_vjp, conv_transpose1d, conv_transpose1d_vjp
+from avse.ops.dense import activation_vjp, group_norm_vjp, linear_vjp, resize_linear_time_vjp
 from avse.ops.rnn import bilstm_backward_batched
 
 
@@ -143,7 +135,7 @@ def _separator_bwd(cache, params, config, g_mask, grads):
     # Adjoint of overlap_add: halve the twice-covered positions, then segment.
     hop = config.chunk_hop
     g_mask_in[:, hop : cache["n_chunks"] * hop] /= 2
-    g_chunks = segment_time(g_mask_in, config.chunk_len, hop)
+    g_chunks = segment_time(g_mask_in, hop)
     for unit in reversed(cache["units"]):
         g_swapped = _sep_path_bwd(unit["inter"], params, g_chunks.transpose(1, 0, 2), grads)
         g_chunks = _sep_path_bwd(unit["intra"], params, g_swapped.transpose(1, 0, 2), grads)

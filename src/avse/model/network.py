@@ -16,19 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
+from avse.errors import EmptySequenceError, InputTooShortError, ShapeError
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams, _trunk_stages
-from avse.ops import (
-    activation,
-    conv1d,
-    conv3d,
-    conv_transpose1d,
-    group_norm,
-    linear,
-    resize_linear_time,
-)
-from avse.ops.dense import _update
+from avse.ops.conv import conv1d, conv3d, conv_transpose1d
+from avse.ops.dense import _update, activation, group_norm, linear, resize_linear_time
 from avse.ops.rnn import LstmParams, bilstm_forward_batched
 
 
@@ -142,15 +134,9 @@ def fuse_fwd(a, v, params, config):
     return activation("relu", pre), {"v": v, "t_a": t_a, "cat": cat, "pre": pre}
 
 
-def _check_half_hop(chunk: int, hop: int) -> None:
-    if chunk != 2 * hop:
-        raise ConfigError(f"chunk length {chunk} must be twice the hop {hop}")
-
-
-def segment_time(x: np.ndarray, chunk: int, hop: int) -> np.ndarray:
-    """Slice [C, T] into chunks [Q, chunk, C] that overlap by exactly half a
-    chunk (chunk == 2 * hop), zero-padding the tail."""
-    _check_half_hop(chunk, hop)
+def segment_time(x: np.ndarray, hop: int) -> np.ndarray:
+    """Slice [C, T] into chunks [Q, 2 * hop, C] that overlap by exactly half
+    a chunk, zero-padding the tail."""
     if x.ndim != 2:
         raise ShapeError(f"expected [C, T], got shape {x.shape}")
     c, t = x.shape
@@ -173,13 +159,15 @@ def _fold(chunks: np.ndarray) -> np.ndarray:
     return acc.reshape(c, (q + 1) * hop)
 
 
-def overlap_add(chunks: np.ndarray, hop: int, t_out: int) -> np.ndarray:
+def overlap_add(chunks: np.ndarray, t_out: int) -> np.ndarray:
     """Invert segment_time by averaging overlapped positions; exact when all
     chunks agree (each position is covered once or twice, and 2x/2 == x)."""
     if chunks.ndim != 3:
         raise ShapeError(f"expected [Q, chunk, C], got shape {chunks.shape}")
     q, chunk, _ = chunks.shape
-    _check_half_hop(chunk, hop)
+    if chunk % 2:
+        raise ShapeError(f"chunk length {chunk} is odd, so it has no half-chunk hop")
+    hop = chunk // 2
     t_pad = (q + 1) * hop
     if t_out > t_pad:
         raise ShapeError(f"target length {t_out} exceeds padded extent {t_pad}")
@@ -225,7 +213,7 @@ def separator_forward_fwd(fused, params, config, keep_cache=True):
             f"separator input must be [{config.fusion_channels}, T_a], got {fused.shape}"
         )
     t_a = fused.shape[1]
-    chunks = segment_time(fused, config.chunk_len, config.chunk_hop)  # [Q, P, C]
+    chunks = segment_time(fused, config.chunk_hop)  # [Q, P, C]
     units = []
     # Rebinding chunks drops each path's input as soon as the next path
     # has its own (unless a cache keeps it).
@@ -235,7 +223,7 @@ def separator_forward_fwd(fused, params, config, keep_cache=True):
         chunks, inter_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.inter", keep_cache)
         chunks = chunks.transpose(1, 0, 2)
         units.append({"intra": intra_cache, "inter": inter_cache})
-    mask_in = overlap_add(chunks, config.chunk_hop, t_a)
+    mask_in = overlap_add(chunks, t_a)
     pre = conv1d(mask_in, params["mask.w"], params["mask.b"])
     mask = activation("sigmoid", pre)
     if not keep_cache:

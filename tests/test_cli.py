@@ -239,6 +239,24 @@ class TestMix:
         assert "snr_db" in err and str(float(snr)) in err
         assert not (tmp_path / "m.wav").exists()
 
+    @pytest.mark.parametrize("rate", [0, 2**31])
+    def test_rate_the_header_cannot_hold_exits_two(self, tmp_path, capsys, rate):
+        """Refused on load: a 2**31 Hz byte rate overflows the uint32 field
+        the writer fills, and 0 Hz describes no audio."""
+        paths = []
+        for name, seed in (("a.wav", 0), ("b.wav", 1)):
+            path = tmp_path / name
+            save_wav(path, Stream(seed).uniform(800, -0.5, 0.5), 16000)
+            data = bytearray(path.read_bytes())
+            data[24:28] = rate.to_bytes(4, "little")  # sample rate field
+            path.write_bytes(bytes(data))
+            paths.append(str(path))
+        code = cli.main(["mix", "--target", paths[0], "--interferer", paths[1],
+                         "--snr", "0", "--out", str(tmp_path / "m.wav")])
+        assert code == 2
+        assert f"sample rate {rate} Hz" in capsys.readouterr().err
+        assert not (tmp_path / "m.wav").exists()
+
     def test_missing_input_exits_two(self, tmp_path, capsys):
         code = cli.main(
             ["mix", "--target", str(tmp_path / "no.wav"),

@@ -11,7 +11,7 @@ from avse.data.manifest import ManifestEntry, load_manifest, write_manifest
 from avse.data.mixer import fit_interferer, mix_scene
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
-from avse.data.wavio import MAX_SAMPLES, load_wav, save_wav
+from avse.data.wavio import MAX_RATE_HZ, MAX_SAMPLES, load_wav, save_wav
 from avse.errors import (
     ConfigError,
     CorruptFileError,
@@ -20,7 +20,7 @@ from avse.errors import (
     ManifestError,
     UnsupportedFormatError,
 )
-from avse.metrics import si_sdr
+from avse.metrics.sisdr import si_sdr
 from avse.model.config import tiny_config
 from avse.prng import Stream
 
@@ -82,6 +82,15 @@ class TestLoadWav:
         with pytest.raises(CorruptFileError):
             load_wav(path)
 
+    @pytest.mark.parametrize("rate", [0, MAX_RATE_HZ + 1, 2**32 - 1])
+    def test_rate_the_byte_rate_field_cannot_hold_rejected(self, tmp_path, rate):
+        data = bytearray(_pcm16_wav_bytes([0, 0]))
+        data[24:28] = struct.pack("<I", rate)  # sample rate field
+        path = tmp_path / "x.wav"
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedFormatError, match=f"sample rate {rate} Hz"):
+            load_wav(path)
+
 
 class TestSaveWav:
     def test_zeros_give_zero_payload(self, tmp_path):
@@ -124,6 +133,17 @@ class TestSaveWav:
         with pytest.raises(UnsupportedFormatError, match=str(MAX_SAMPLES)):
             save_wav(tmp_path / "big.wav", wave, 16000)
         assert not (tmp_path / "big.wav").exists()
+
+    @pytest.mark.parametrize("rate", [0, MAX_RATE_HZ + 1])
+    def test_rate_the_byte_rate_field_cannot_hold_rejected(self, tmp_path, rate):
+        """Refused before the file is opened, so nothing is left behind."""
+        with pytest.raises(UnsupportedFormatError, match=f"sample rate {rate} Hz"):
+            save_wav(tmp_path / "r.wav", np.zeros(10), rate)
+        assert not (tmp_path / "r.wav").exists()
+
+    def test_largest_rate_round_trips(self, tmp_path):
+        save_wav(tmp_path / "r.wav", np.zeros(10), MAX_RATE_HZ)
+        assert load_wav(tmp_path / "r.wav")[1] == MAX_RATE_HZ
 
 
 class TestTensorFile:

@@ -8,8 +8,14 @@ the ~1e-7..1e-6 errors a correct backward pass produces at step 1e-5.
 import numpy as np
 import pytest
 
-from avse import ops
-from avse.ops.rnn import LstmParams, bilstm_backward_batched, bilstm_forward_batched
+from avse.ops import conv, dense
+from avse.ops.rnn import (
+    LstmParams,
+    bilstm_backward_batched,
+    bilstm_forward_batched,
+    bilstm_layer,
+    bilstm_layer_vjp,
+)
 from avse.prng import Stream
 from avse.training import gradcheck
 from avse.training.gradcheck import grad_check
@@ -39,8 +45,8 @@ class TestAdjointIdentity:
             x = randn(stream, (c_in, t))
             w = randn(stream, (c_out, c_in, k))
             y = randn(stream, (c_out, t_out))
-            lhs = float((ops.conv1d(x, w, stride=s) * y).sum())
-            rhs = float((x * ops.conv_transpose1d(y, w, stride=s)).sum())
+            lhs = float((conv.conv1d(x, w, stride=s) * y).sum())
+            rhs = float((x * conv.conv_transpose1d(y, w, stride=s)).sum())
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30) < 1e-10
 
 
@@ -57,9 +63,9 @@ class TestPerOpFiniteDifferences:
         x = randn(stream, (2, 14))
         w = randn(stream, (3, 2, 4))
         b = randn(stream, (3,))
-        gy = randn(stream, ops.conv1d(x, w, b, stride=2).shape)
-        gx, gw, gb = ops.conv1d_vjp(x, w, b, gy, stride=2)
-        f = _cotangent_loss(lambda x, w, b: ops.conv1d(x, w, b, stride=2), gy)
+        gy = randn(stream, conv.conv1d(x, w, b, stride=2).shape)
+        gx, gw, gb = conv.conv1d_vjp(x, w, b, gy, stride=2)
+        f = _cotangent_loss(lambda x, w, b: conv.conv1d(x, w, b, stride=2), gy)
         assert rel_err(fd_grad(lambda v: f(v, w, b), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v, b), w), gw) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, w, v), b), gb) < PER_OP_TOL
@@ -68,9 +74,9 @@ class TestPerOpFiniteDifferences:
         stream = Stream(102)
         x = randn(stream, (1, 10))
         w = randn(stream, (2, 1, 3))
-        gy = randn(stream, ops.conv1d(x, w, stride=1, pad=2).shape)
-        gx, gw, _ = ops.conv1d_vjp(x, w, None, gy, stride=1, pad=2)
-        f = _cotangent_loss(lambda x, w: ops.conv1d(x, w, stride=1, pad=2), gy)
+        gy = randn(stream, conv.conv1d(x, w, stride=1, pad=2).shape)
+        gx, gw, _ = conv.conv1d_vjp(x, w, None, gy, stride=1, pad=2)
+        f = _cotangent_loss(lambda x, w: conv.conv1d(x, w, stride=1, pad=2), gy)
         assert rel_err(fd_grad(lambda v: f(v, w), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v), w), gw) < PER_OP_TOL
 
@@ -79,9 +85,9 @@ class TestPerOpFiniteDifferences:
         x = randn(stream, (3, 6))
         w = randn(stream, (3, 2, 5))
         b = randn(stream, (2,))
-        gy = randn(stream, ops.conv_transpose1d(x, w, b, stride=3).shape)
-        gx, gw, gb = ops.conv_transpose1d_vjp(x, w, b, gy, stride=3)
-        f = _cotangent_loss(lambda x, w, b: ops.conv_transpose1d(x, w, b, stride=3), gy)
+        gy = randn(stream, conv.conv_transpose1d(x, w, b, stride=3).shape)
+        gx, gw, gb = conv.conv_transpose1d_vjp(x, w, b, gy, stride=3)
+        f = _cotangent_loss(lambda x, w, b: conv.conv_transpose1d(x, w, b, stride=3), gy)
         assert rel_err(fd_grad(lambda v: f(v, w, b), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v, b), w), gw) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, w, v), b), gb) < PER_OP_TOL
@@ -92,9 +98,9 @@ class TestPerOpFiniteDifferences:
         w = randn(stream, (2, 1, 3, 3, 3))
         b = randn(stream, (2,))
         kwargs = {"stride": (1, 2, 2), "pad": (1, 1, 1)}
-        gy = randn(stream, ops.conv3d(x, w, b, **kwargs).shape)
-        gx, gw, gb = ops.conv3d_vjp(x, w, b, gy, **kwargs)
-        f = _cotangent_loss(lambda x, w, b: ops.conv3d(x, w, b, **kwargs), gy)
+        gy = randn(stream, conv.conv3d(x, w, b, **kwargs).shape)
+        gx, gw, gb = conv.conv3d_vjp(x, w, b, gy, **kwargs)
+        f = _cotangent_loss(lambda x, w, b: conv.conv3d(x, w, b, **kwargs), gy)
         assert rel_err(fd_grad(lambda v: f(v, w, b), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v, b), w), gw) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, w, v), b), gb) < PER_OP_TOL
@@ -105,8 +111,8 @@ class TestPerOpFiniteDifferences:
         w = randn(stream, (5, 3))
         b = randn(stream, (5,))
         gy = randn(stream, (4, 7, 5))
-        gx, gw, gb = ops.linear_vjp(x, w, b, gy)
-        f = _cotangent_loss(ops.linear, gy)
+        gx, gw, gb = dense.linear_vjp(x, w, b, gy)
+        f = _cotangent_loss(dense.linear, gy)
         assert rel_err(fd_grad(lambda v: f(v, w, b), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v, b), w), gw) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, w, v), b), gb) < PER_OP_TOL
@@ -117,8 +123,8 @@ class TestPerOpFiniteDifferences:
         # Offset keeps relu entries away from the kink at exactly 0.
         x = randn(stream, (5, 9)) + 0.05
         gy = randn(stream, (5, 9))
-        ga = ops.activation_vjp(kind, x, gy)
-        f = _cotangent_loss(lambda v: ops.activation(kind, v), gy)
+        ga = dense.activation_vjp(kind, x, gy)
+        f = _cotangent_loss(lambda v: dense.activation(kind, v), gy)
         assert rel_err(fd_grad(f, x), ga) < PER_OP_TOL
 
     def test_group_norm(self):
@@ -127,8 +133,8 @@ class TestPerOpFiniteDifferences:
         gamma = randn(stream, (6,))
         beta = randn(stream, (6,))
         gy = randn(stream, (6, 11))
-        gx, gg, gb = ops.group_norm_vjp(x, 3, gamma, beta, gy)
-        f = _cotangent_loss(lambda x, g, b: ops.group_norm(x, 3, g, b), gy)
+        gx, gg, gb = dense.group_norm_vjp(x, 3, gamma, beta, gy)
+        f = _cotangent_loss(lambda x, g, b: dense.group_norm(x, 3, g, b), gy)
         assert rel_err(fd_grad(lambda v: f(v, gamma, beta), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v, beta), gamma), gg) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, gamma, v), beta), gb) < PER_OP_TOL
@@ -138,8 +144,8 @@ class TestPerOpFiniteDifferences:
         gamma = randn(stream, (4,))
         beta = randn(stream, (4,))
         gy = randn(stream, (4, 3, 2, 3))
-        gx, gg, gb = ops.group_norm_vjp(x, 2, gamma, beta, gy, keep_axes=(1,))
-        f = _cotangent_loss(lambda x, g, b: ops.group_norm(x, 2, g, b, keep_axes=(1,)), gy)
+        gx, gg, gb = dense.group_norm_vjp(x, 2, gamma, beta, gy, keep_axes=(1,))
+        f = _cotangent_loss(lambda x, g, b: dense.group_norm(x, 2, g, b, keep_axes=(1,)), gy)
         assert rel_err(fd_grad(lambda v: f(v, gamma, beta), x), gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, v, beta), gamma), gg) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(x, gamma, v), beta), gb) < PER_OP_TOL
@@ -150,8 +156,8 @@ class TestPerOpFiniteDifferences:
         gamma = randn(stream, (5,))
         beta = randn(stream, (5,))
         gy = randn(stream, (5, 3, 4))
-        gx, gg, gb = ops.group_norm_vjp(np.moveaxis(y, -1, 0), 1, gamma, beta, gy)
-        f = _cotangent_loss(lambda y, g, b: ops.group_norm(np.moveaxis(y, -1, 0), 1, g, b), gy)
+        gx, gg, gb = dense.group_norm_vjp(np.moveaxis(y, -1, 0), 1, gamma, beta, gy)
+        f = _cotangent_loss(lambda y, g, b: dense.group_norm(np.moveaxis(y, -1, 0), 1, g, b), gy)
         gx_fd = np.moveaxis(fd_grad(lambda v: f(v, gamma, beta), y), -1, 0)
         assert rel_err(gx_fd, gx) < PER_OP_TOL
         assert rel_err(fd_grad(lambda v: f(y, v, beta), gamma), gg) < PER_OP_TOL
@@ -161,8 +167,8 @@ class TestPerOpFiniteDifferences:
         stream = Stream(108)
         x = randn(stream, (7, 3))
         gy = randn(stream, (12, 3))
-        gx = ops.resize_linear_time_vjp(x, 12, gy)
-        f = _cotangent_loss(lambda v: ops.resize_linear_time(v, 12), gy)
+        gx = dense.resize_linear_time_vjp(x, 12, gy)
+        f = _cotangent_loss(lambda v: dense.resize_linear_time(v, 12), gy)
         assert rel_err(fd_grad(f, x), gx) < PER_OP_TOL
 
     def test_bilstm_all_five_cotangents(self):
@@ -176,10 +182,10 @@ class TestPerOpFiniteDifferences:
         )
         x = randn(stream, (t, d))
         gy = randn(stream, (t, 2 * h))
-        gx, gwf, gbf, gwb, gbb = ops.bilstm_layer_vjp(x, p, gy)
+        gx, gwf, gbf, gwb, gbb = bilstm_layer_vjp(x, p, gy)
 
         def loss(x, wf, bf, wb, bb):
-            return float((ops.bilstm_layer(x, LstmParams(wf, bf, wb, bb)) * gy).sum())
+            return float((bilstm_layer(x, LstmParams(wf, bf, wb, bb)) * gy).sum())
 
         pairs = [
             (gx, lambda v: loss(v, p.w_fw, p.b_fw, p.w_bw, p.b_bw), x),

@@ -1,10 +1,13 @@
 """Source hygiene with no linter installed: every name a package module
-imports is used in that module, and every public function, class and
-method the package defines is referenced somewhere in the repository.
-Package ``__init__.py`` files import to re-export, so they are exempt
-from the first check."""
+imports is used in that module, every public function, class and method
+the package defines is referenced somewhere in the repository, and each
+name has one import path, the module that defines it: package
+``__init__.py`` files import nothing."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +15,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "avse"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.rglob("*.py"))
+INITS = [p for p in MODULES if p.name == "__init__.py"]
 # Where a reference to a package definition may live.
 SEARCHED = ("src", "tests", "tools", "perfbench")
 
@@ -47,6 +51,32 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_inits_import_nothing():
+    """A re-export would give a name a second import path and load every
+    module behind it on first import of the package."""
+    found = {
+        str(path.relative_to(PACKAGE)): node.lineno
+        for path in INITS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert INITS and found == {}
+
+
+def test_loss_loads_no_stoi_wav_or_scipy_signal():
+    """The training loss reaches SI-SDR through its own module, not through
+    the metrics package, so it does not load STOI and what STOI needs."""
+    code = (
+        "import sys, avse.training.loss\n"
+        "print(sorted(m for m in ('scipy.signal', 'avse.metrics.stoi', 'avse.data.wavio')"
+        " if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

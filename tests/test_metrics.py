@@ -19,15 +19,10 @@ from avse.errors import (
     InsufficientSignalError,
     ShapeError,
 )
-from avse.metrics import (
-    MetricReport,
-    evaluate_pair,
-    resample,
-    si_sdr,
-    stoi,
-    third_octave_bands,
-    write_report,
-)
+from avse.metrics.report import MetricReport, evaluate_pair, write_report
+from avse.metrics.resample import resample
+from avse.metrics.sisdr import si_sdr
+from avse.metrics.stoi import stoi, third_octave_bands
 from avse.data.wavio import save_wav
 from avse.prng import Stream
 

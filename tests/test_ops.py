@@ -10,13 +10,17 @@ import threading
 import numpy as np
 import pytest
 
-from avse import ops
 from avse.errors import ConfigError, EmptySequenceError, InputTooShortError, ShapeError
 from avse.model.config import default_config, tiny_config
 from avse.model.network import _sep_path_fwd
 from avse.model.params import init_parameters
-from avse.ops import rnn
-from avse.ops.rnn import LstmParams, bilstm_backward_batched, bilstm_forward_batched
+from avse.ops import conv, dense, rnn
+from avse.ops.rnn import (
+    LstmParams,
+    bilstm_backward_batched,
+    bilstm_forward_batched,
+    bilstm_layer,
+)
 from avse.prng import Stream
 
 from helpers import (
@@ -36,7 +40,7 @@ class TestConv1d:
         """Kernel [1,1] at stride 2 sums adjacent pairs: [1,2,3,4] -> [3,7]."""
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
         w = np.array([[[1.0, 1.0]]])
-        y = ops.conv1d(x, w, stride=2)
+        y = conv.conv1d(x, w, stride=2)
         assert np.array_equal(y, np.array([[3.0, 7.0]]))
 
     def test_identity_kernel(self):
@@ -45,7 +49,7 @@ class TestConv1d:
         w = np.zeros((2, 2, 1))
         w[0, 0, 0] = 1.0
         w[1, 1, 0] = 1.0
-        assert np.array_equal(ops.conv1d(x, w), x)
+        assert np.array_equal(conv.conv1d(x, w), x)
 
     def test_output_length_law(self):
         """T' = floor((T + 2p - K)/s) + 1 over a grid of shapes."""
@@ -58,23 +62,23 @@ class TestConv1d:
                             continue
                         x = randn(stream, (1, t))
                         w = randn(stream, (1, 1, k))
-                        y = ops.conv1d(x, w, stride=s, pad=p)
+                        y = conv.conv1d(x, w, stride=s, pad=p)
                         assert y.shape == (1, (t + 2 * p - k) // s + 1)
 
     def test_bias_adds_per_channel(self):
         x = np.ones((1, 4))
         w = np.ones((2, 1, 2))
-        y = ops.conv1d(x, w, b=np.array([10.0, -10.0]))
+        y = conv.conv1d(x, w, b=np.array([10.0, -10.0]))
         assert np.array_equal(y[0], np.full(3, 12.0))
         assert np.array_equal(y[1], np.full(3, -8.0))
 
     def test_input_shorter_than_kernel_raises(self):
         with pytest.raises(InputTooShortError):
-            ops.conv1d(np.zeros((1, 3)), np.zeros((1, 1, 5)))
+            conv.conv1d(np.zeros((1, 3)), np.zeros((1, 1, 5)))
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ops.conv1d(np.zeros((2, 8)), np.zeros((1, 3, 2)))
+            conv.conv1d(np.zeros((2, 8)), np.zeros((1, 3, 2)))
 
 
 class TestConvTranspose1d:
@@ -82,14 +86,14 @@ class TestConvTranspose1d:
         """x=[1,1], kernel [1,1], stride 2 -> [1,1,1,1]."""
         x = np.array([[1.0, 1.0]])
         w = np.array([[[1.0, 1.0]]])
-        y = ops.conv_transpose1d(x, w, stride=2)
+        y = conv.conv_transpose1d(x, w, stride=2)
         assert np.array_equal(y, np.array([[1.0, 1.0, 1.0, 1.0]]))
 
     def test_overlapping_stride_accumulates(self):
         """Stride 1 with kernel [1,1] adds neighbouring contributions."""
         x = np.array([[1.0, 2.0, 3.0]])
         w = np.array([[[1.0, 1.0]]])
-        y = ops.conv_transpose1d(x, w, stride=1)
+        y = conv.conv_transpose1d(x, w, stride=1)
         assert np.array_equal(y, np.array([[1.0, 3.0, 5.0, 3.0]]))
 
     def test_output_length_law(self):
@@ -99,7 +103,7 @@ class TestConvTranspose1d:
                 for s in (1, 2, 8):
                     x = randn(stream, (3, t))
                     w = randn(stream, (3, 2, k))
-                    y = ops.conv_transpose1d(x, w, stride=s)
+                    y = conv.conv_transpose1d(x, w, stride=s)
                     assert y.shape == (2, (t - 1) * s + k)
 
 
@@ -107,13 +111,13 @@ class TestConv3d:
     def test_identity_kernel(self):
         x = randn(Stream(6), (1, 4, 5, 6))
         w = np.ones((1, 1, 1, 1, 1))
-        assert np.array_equal(ops.conv3d(x, w), x)
+        assert np.array_equal(conv.conv3d(x, w), x)
 
     def test_volume_sum_kernel(self):
         """An all-ones full-extent kernel reduces to the volume sum."""
         x = randn(Stream(7), (1, 3, 4, 4))
         w = np.ones((1, 1, 3, 4, 4))
-        y = ops.conv3d(x, w)
+        y = conv.conv3d(x, w)
         assert y.shape == (1, 1, 1, 1)
         assert abs(y.item() - x.sum()) < 1e-12
 
@@ -121,18 +125,18 @@ class TestConv3d:
         """Kernel (5,7,7), stride (1,2,2), pad (2,3,3) keeps F and halves H, W."""
         x = randn(Stream(8), (1, 16, 32, 32))
         w = randn(Stream(9), (2, 1, 5, 7, 7))
-        y = ops.conv3d(x, w, stride=(1, 2, 2), pad=(2, 3, 3))
+        y = conv.conv3d(x, w, stride=(1, 2, 2), pad=(2, 3, 3))
         assert y.shape == (2, 16, 16, 16)
 
     def test_per_axis_stride(self):
         x = randn(Stream(10), (2, 6, 8, 10))
         w = randn(Stream(11), (3, 2, 1, 3, 3))
-        y = ops.conv3d(x, w, stride=(2, 1, 2), pad=(0, 1, 1))
+        y = conv.conv3d(x, w, stride=(2, 1, 2), pad=(0, 1, 1))
         assert y.shape == (3, 3, 8, 5)
 
     def test_too_small_volume_raises(self):
         with pytest.raises(InputTooShortError):
-            ops.conv3d(np.zeros((1, 2, 8, 8)), np.zeros((1, 1, 5, 3, 3)))
+            conv.conv3d(np.zeros((1, 2, 8, 8)), np.zeros((1, 1, 5, 3, 3)))
 
 
 # A valid (x shape, w shape, C_out, gy shape, stride) for each forward op.
@@ -155,7 +159,7 @@ def _conv_call(name, fault):
         b = np.ones(c_out + 1)
     elif fault == "cotangent":
         gy = np.ones(gy_shape[:-1] + (gy_shape[-1] + 1,))
-    fn = getattr(ops, name)
+    fn = getattr(conv, name)
     if name.endswith("_vjp"):
         return lambda: fn(x, w, b, gy, stride=stride)
     return lambda: fn(x, w, b, stride=stride)
@@ -185,64 +189,64 @@ class TestLinear:
         x = np.array([[1.0, 2.0]])
         w = np.array([[1.0, 0.0], [1.0, 1.0]])
         b = np.array([0.5, -0.5])
-        assert np.array_equal(ops.linear(x, w, b), np.array([[1.5, 2.5]]))
+        assert np.array_equal(dense.linear(x, w, b), np.array([[1.5, 2.5]]))
 
     def test_batch_axes_preserved(self):
         x = randn(Stream(12), (4, 7, 3))
         w = randn(Stream(13), (5, 3))
-        assert ops.linear(x, w).shape == (4, 7, 5)
+        assert dense.linear(x, w).shape == (4, 7, 5)
 
     def test_feature_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ops.linear(np.zeros((2, 3)), np.zeros((4, 5)))
+            dense.linear(np.zeros((2, 3)), np.zeros((4, 5)))
 
 
 class TestActivation:
     def test_relu_clamps_negatives(self):
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(ops.activation("relu", x), [0.0, 0.0, 3.0])
+        assert np.array_equal(dense.activation("relu", x), [0.0, 0.0, 3.0])
 
     def test_sigmoid_saturates_without_overflow(self):
         """Extreme inputs hit exactly 0 and 1 with no overflow warnings."""
         with np.errstate(over="raise"):
-            y = ops.activation("sigmoid", np.array([-800.0, 800.0, 0.0]))
+            y = dense.activation("sigmoid", np.array([-800.0, 800.0, 0.0]))
         assert np.array_equal(y, [0.0, 1.0, 0.5])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_extremes_raise_nothing_and_keep_dtype(self, dtype):
         x = np.array([-1e4, 1e4, 0.0], dtype=dtype)
         with np.errstate(all="raise"):
-            y = ops.activation("sigmoid", x)
+            y = dense.activation("sigmoid", x)
         assert y.dtype == dtype
         assert np.array_equal(y, [0.0, 1.0, 0.5])
 
     def test_sigmoid_matches_logistic_formula(self):
         x = np.linspace(-30.0, 30.0, 6001)
         ref = 1.0 / (1.0 + np.exp(-x))
-        assert np.abs(ops.activation("sigmoid", x) / ref - 1.0).max() < 1e-15
+        assert np.abs(dense.activation("sigmoid", x) / ref - 1.0).max() < 1e-15
 
     def test_tanh_is_odd(self):
         x = randn(Stream(14), (9,))
         assert np.allclose(
-            ops.activation("tanh", x), -ops.activation("tanh", -x), atol=1e-15
+            dense.activation("tanh", x), -dense.activation("tanh", -x), atol=1e-15
         )
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError):
-            ops.activation("gelu", np.zeros(3))
+            dense.activation("gelu", np.zeros(3))
 
 
 class TestGroupNorm:
     def test_single_channel_hand_case(self):
         """x=[1,3]: mean 2, var 1 -> +-1/sqrt(1+eps) with unit affine."""
-        y = ops.group_norm(np.array([[1.0, 3.0]]), 1, np.ones(1), np.zeros(1))
+        y = dense.group_norm(np.array([[1.0, 3.0]]), 1, np.ones(1), np.zeros(1))
         expected = 1.0 / np.sqrt(1.0 + 1e-5)
         assert np.allclose(y, [[-expected, expected]], atol=1e-15)
 
     def test_output_statistics(self):
         """Each group is ~zero-mean unit-variance before the affine."""
         x = 3.0 + 2.0 * randn(Stream(15), (6, 50))
-        y = ops.group_norm(x, 3, np.ones(6), np.zeros(6))
+        y = dense.group_norm(x, 3, np.ones(6), np.zeros(6))
         for g in range(3):
             block = y[2 * g : 2 * g + 2]
             assert abs(block.mean()) < 1e-12
@@ -252,13 +256,13 @@ class TestGroupNorm:
         x = randn(Stream(16), (2, 8))
         gamma = np.array([2.0, -1.0])
         beta = np.array([5.0, 0.0])
-        base = ops.group_norm(x, 1, np.ones(2), np.zeros(2))
-        y = ops.group_norm(x, 1, gamma, beta)
+        base = dense.group_norm(x, 1, np.ones(2), np.zeros(2))
+        y = dense.group_norm(x, 1, gamma, beta)
         assert np.allclose(y, gamma[:, None] * base + beta[:, None], atol=1e-12)
 
     def test_groups_must_divide_channels(self):
         with pytest.raises(ConfigError):
-            ops.group_norm(np.zeros((6, 4)), 4, np.ones(6), np.zeros(6))
+            dense.group_norm(np.zeros((6, 4)), 4, np.ones(6), np.zeros(6))
 
     def test_kept_frame_axis_matches_frame_by_frame(self):
         """[C, F, H, W] with the frame axis kept == one [C, H*W] call per frame."""
@@ -266,15 +270,15 @@ class TestGroupNorm:
         x = 2.0 + randn(stream, (6, 4, 3, 5))
         gamma = randn(stream, (6,))
         beta = randn(stream, (6,))
-        y = ops.group_norm(x, 3, gamma, beta, keep_axes=(1,))
+        y = dense.group_norm(x, 3, gamma, beta, keep_axes=(1,))
         for f in range(4):
-            ref = ops.group_norm(x[:, f].reshape(6, 15), 3, gamma, beta)
+            ref = dense.group_norm(x[:, f].reshape(6, 15), 3, gamma, beta)
             assert np.abs(y[:, f].reshape(6, 15) - ref).max() < 1e-12
 
     def test_keep_axes_must_name_position_axes(self):
         for axes in ((0,), (3,), (1, 1)):
             with pytest.raises(ShapeError):
-                ops.group_norm(np.zeros((2, 3, 4)), 1, np.ones(2), np.zeros(2), keep_axes=axes)
+                dense.group_norm(np.zeros((2, 3, 4)), 1, np.ones(2), np.zeros(2), keep_axes=axes)
 
 
 F32, F64 = np.float32, np.float64
@@ -305,21 +309,21 @@ def _dense_call(name, act, weight, bias):
     b, beta = randn(s, (5,)).astype(bias), randn(s, (6,)).astype(bias)
     keep = {"keep_axes": (1,)}
     return {
-        "linear": (ops.linear, linear_reference, (x, w, b), {}),
-        "linear_no_bias": (ops.linear, linear_reference, (x, w), {}),
-        "linear_strided_input": (ops.linear, linear_reference, (x.transpose(1, 0, 2), w, b), {}),
-        "linear_vjp": (ops.linear_vjp, linear_vjp_reference, (x, w, b, gy), {}),
-        "group_norm": (ops.group_norm, group_norm_reference, (xc, 3, gamma, beta), {}),
-        "group_norm_keep_axes": (ops.group_norm, group_norm_reference, (xc, 3, gamma, beta), keep),
+        "linear": (dense.linear, linear_reference, (x, w, b), {}),
+        "linear_no_bias": (dense.linear, linear_reference, (x, w), {}),
+        "linear_strided_input": (dense.linear, linear_reference, (x.transpose(1, 0, 2), w, b), {}),
+        "linear_vjp": (dense.linear_vjp, linear_vjp_reference, (x, w, b, gy), {}),
+        "group_norm": (dense.group_norm, group_norm_reference, (xc, 3, gamma, beta), {}),
+        "group_norm_keep_axes": (dense.group_norm, group_norm_reference, (xc, 3, gamma, beta), keep),
         # the separator's layer norm: [C, Q, P] as a view of [Q, P, C]
         "group_norm_channel_last_view": (
-            ops.group_norm, group_norm_reference, (np.moveaxis(xl, -1, 0), 1, gamma, beta), {}
+            dense.group_norm, group_norm_reference, (np.moveaxis(xl, -1, 0), 1, gamma, beta), {}
         ),
         "group_norm_vjp": (
-            ops.group_norm_vjp, group_norm_vjp_reference, (xc, 3, gamma, beta, gyc), {}
+            dense.group_norm_vjp, group_norm_vjp_reference, (xc, 3, gamma, beta, gyc), {}
         ),
         "group_norm_vjp_keep_axes": (
-            ops.group_norm_vjp, group_norm_vjp_reference, (xc, 3, gamma, beta, gyc), keep
+            dense.group_norm_vjp, group_norm_vjp_reference, (xc, 3, gamma, beta, gyc), keep
         ),
     }[name]
 
@@ -370,7 +374,7 @@ class TestDenseResultsOwnTheirMemory:
 class TestResizeLinearTime:
     def test_two_to_three(self):
         """[0, 2] resized to 3 rows -> [0, 1, 2]."""
-        y = ops.resize_linear_time(np.array([[0.0], [2.0]]), 3)
+        y = dense.resize_linear_time(np.array([[0.0], [2.0]]), 3)
         assert np.array_equal(y.ravel(), [0.0, 1.0, 2.0])
 
     def test_endpoints_exact(self):
@@ -378,19 +382,19 @@ class TestResizeLinearTime:
         stream = Stream(17)
         for t_in, t_out in [(25, 999), (2, 1000), (13, 7), (999, 2)]:
             x = randn(stream, (t_in, 2))
-            y = ops.resize_linear_time(x, t_out)
+            y = dense.resize_linear_time(x, t_out)
             assert np.array_equal(y[0], x[0])
             assert np.array_equal(y[-1], x[-1])
 
     def test_single_row_broadcasts(self):
         x = np.array([[3.0, -1.0]])
-        y = ops.resize_linear_time(x, 5)
+        y = dense.resize_linear_time(x, 5)
         assert y.shape == (5, 2)
         assert np.array_equal(y, np.repeat(x, 5, axis=0))
 
     def test_identity_when_lengths_match(self):
         x = randn(Stream(18), (9, 3))
-        assert np.allclose(ops.resize_linear_time(x, 9), x, atol=1e-12)
+        assert np.allclose(dense.resize_linear_time(x, 9), x, atol=1e-12)
 
 
 class TestBilstm:
@@ -403,7 +407,7 @@ class TestBilstm:
             w_bw=randn(stream, (4 * h, d + h)),
             b_bw=randn(stream, (4 * h,)),
         )
-        y = ops.bilstm_layer(randn(stream, (t, d)), p)
+        y = bilstm_layer(randn(stream, (t, d)), p)
         assert y.shape == (t, 2 * h)
 
     def test_zero_parameters_give_zero_output(self):
@@ -413,7 +417,7 @@ class TestBilstm:
             w_bw=np.zeros((8, 5)),
             b_bw=np.zeros(8),
         )
-        y = ops.bilstm_layer(randn(Stream(20), (6, 3)), p)
+        y = bilstm_layer(randn(Stream(20), (6, 3)), p)
         assert np.array_equal(y, np.zeros((6, 4)))
 
     def test_single_step_cell_oracle(self):
@@ -432,7 +436,7 @@ class TestBilstm:
 
         z = w[:, 0] * 0.7 + b
         expected = sig(z[3]) * np.tanh(sig(z[0]) * np.tanh(z[2]))
-        y = ops.bilstm_layer(x, p)
+        y = bilstm_layer(x, p)
         assert np.allclose(y, [[expected, expected]], atol=1e-12)
         assert abs(expected - (-0.08166088090772124)) < 1e-12
 
@@ -447,9 +451,9 @@ class TestBilstm:
             b_bw=0.4 * randn(stream, (4 * h,)),
         )
         x = randn(stream, (t, d))
-        y = ops.bilstm_layer(x, p)
+        y = bilstm_layer(x, p)
         swapped = LstmParams(p.w_bw, p.b_bw, p.w_fw, p.b_fw)
-        y2 = ops.bilstm_layer(x[::-1].copy(), swapped)
+        y2 = bilstm_layer(x[::-1].copy(), swapped)
         recon = np.concatenate([y2[::-1, h:], y2[::-1, :h]], axis=1)
         assert np.abs(recon - y).max() < 1e-12
 
@@ -461,7 +465,7 @@ class TestBilstm:
             b_bw=np.zeros(8),
         )
         with pytest.raises(EmptySequenceError):
-            ops.bilstm_layer(np.zeros((0, 3)), p)
+            bilstm_layer(np.zeros((0, 3)), p)
 
 
 def _random_lstm(stream, d, h, scale=0.5):

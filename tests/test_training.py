@@ -37,7 +37,7 @@ class TestSiSdrLoss:
         assert si_sdr_loss_vjp(clean, clean.copy())[0] <= -60.0
 
     def test_matches_negated_metric_away_from_cap(self):
-        from avse.metrics import si_sdr
+        from avse.metrics.sisdr import si_sdr
 
         clean = Stream(111).normal(500)
         enhanced = clean + 0.3 * Stream(112).normal(500)

@@ -58,7 +58,8 @@ def dump(out_path: str) -> int:
     returns the tracemalloc peak of one default float32 enhance, in bytes."""
     from avse.data.mixer import mix_scene
     from avse.data.synth import synth_scene
-    from avse.metrics import si_sdr, stoi
+    from avse.metrics.sisdr import si_sdr
+    from avse.metrics.stoi import stoi
     from avse.model import network
     from avse.model.config import default_config, tiny_config
     from avse.model.grad import enhance_bwd, enhance_fwd
