@@ -8,7 +8,7 @@ through JSON for the training CLI and for embedding in checkpoints.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -179,7 +179,4 @@ def scaled_config(base: ModelConfig, **overrides) -> ModelConfig:
     Derived values (``chunk_hop``, ``fusion_channels``) are not fields and
     are refused like any other unknown name.
     """
-    unknown = set(overrides) - set(ModelConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return replace(base, **overrides)
+    return ModelConfig.from_dict({**asdict(base), **overrides})

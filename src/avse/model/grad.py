@@ -1,10 +1,10 @@
 """Reverse-mode gradients through the whole enhancement pipeline.
 
 ``enhance_fwd`` mirrors ``model.network.enhance`` but keeps every
-intermediate; ``enhance_bwd`` walks them in reverse, accumulating
-cotangents for every named parameter.  The topology is fixed, so the
-backward pass is written out stage by stage instead of through a
-general tape.
+intermediate; ``enhance_bwd`` walks them in reverse and writes each
+named parameter's cotangent once, as the stage that uses the parameter
+returns it.  The topology is fixed, so the backward pass is written out
+stage by stage instead of through a general tape.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def _conv_norm_bwd(unit, params, config, g, grads):
     g_pre, ggamma, gbeta = group_norm_vjp(
         pre, config.vfn_norm_groups, gamma, beta, g, keep_axes=(1,)
     )
-    grads[f"{norm}.gamma"] += ggamma
-    grads[f"{norm}.beta"] += gbeta
+    grads[f"{norm}.gamma"] = ggamma
+    grads[f"{norm}.beta"] = gbeta
     g_x, gw, _ = conv3d_vjp(x, params[f"{conv}.w"], None, g_pre, stride=stride, pad=pad)
-    grads[f"{conv}.w"] += gw
+    grads[f"{conv}.w"] = gw
     return g_x
 
 
@@ -81,8 +81,8 @@ def _trunk_block_bwd(cache, params, config, g_out, grads):
 def _visual_bwd(cache, params, config, g_v, grads):
     feats = cache["feats"]
     g_feats, gw, gb = linear_vjp(feats, params["vfn.proj.w"], params["vfn.proj.b"], g_v)
-    grads["vfn.proj.w"] += gw
-    grads["vfn.proj.b"] += gb
+    grads["vfn.proj.w"] = gw
+    grads["vfn.proj.b"] = gb
     c, f, h, w = cache["trunk_out_shape"]
     g_h = np.broadcast_to(g_feats.T[:, :, None, None] / (h * w), (c, f, h, w)).copy()
     for block in reversed(cache["blocks"]):
@@ -96,8 +96,8 @@ def _visual_bwd(cache, params, config, g_v, grads):
         stride=FRONT_STRIDE,
         pad=cache["front_pad"],
     )
-    grads["vfn.front.w"] += gw
-    grads["vfn.front.b"] += gb
+    grads["vfn.front.w"] = gw
+    grads["vfn.front.b"] = gb
 
 
 def _sep_path_bwd(cache, params, g_out, grads):
@@ -109,19 +109,19 @@ def _sep_path_bwd(cache, params, g_out, grads):
         params[f"{base}.gn.beta"],
         np.moveaxis(g_out, -1, 0),
     )
-    grads[f"{base}.gn.gamma"] += ggamma
-    grads[f"{base}.gn.beta"] += gbeta
+    grads[f"{base}.gn.gamma"] = ggamma
+    grads[f"{base}.gn.beta"] = gbeta
     g_proj = np.moveaxis(g_norm_in, 0, -1)
     g_y, gw, gb = linear_vjp(
         cache["y"], params[f"{base}.proj.w"], params[f"{base}.proj.b"], g_proj
     )
-    grads[f"{base}.proj.w"] += gw
-    grads[f"{base}.proj.b"] += gb
+    grads[f"{base}.proj.w"] = gw
+    grads[f"{base}.proj.b"] = gb
     g_x, gw_fw, gb_fw, gw_bw, gb_bw = bilstm_backward_batched(cache["lstm_cache"], g_y)
-    grads[f"{base}.lstm.w_fw"] += gw_fw
-    grads[f"{base}.lstm.b_fw"] += gb_fw
-    grads[f"{base}.lstm.w_bw"] += gw_bw
-    grads[f"{base}.lstm.b_bw"] += gb_bw
+    grads[f"{base}.lstm.w_fw"] = gw_fw
+    grads[f"{base}.lstm.b_fw"] = gb_fw
+    grads[f"{base}.lstm.w_bw"] = gw_bw
+    grads[f"{base}.lstm.b_bw"] = gb_bw
     # The residual path bypasses the whole unit.
     return g_x + g_out
 
@@ -130,8 +130,8 @@ def _separator_bwd(cache, params, config, g_mask, grads):
     mask = cache["mask"]
     g_pre = g_mask * mask * (1.0 - mask)
     g_mask_in, gw, gb = conv1d_vjp(cache["mask_in"], params["mask.w"], params["mask.b"], g_pre)
-    grads["mask.w"] += gw
-    grads["mask.b"] += gb
+    grads["mask.w"] = gw
+    grads["mask.b"] = gb
     # Adjoint of overlap_add: halve the twice-covered positions, then segment.
     hop = config.chunk_hop
     g_mask_in[:, hop : cache["n_chunks"] * hop] /= 2
@@ -146,8 +146,8 @@ def _separator_bwd(cache, params, config, g_mask, grads):
 def _fuse_bwd(cache, params, config, g_f, grads):
     g_pre = activation_vjp("relu", cache["pre"], g_f)
     g_cat, gw, gb = conv1d_vjp(cache["cat"], params["fusion.w"], params["fusion.b"], g_pre)
-    grads["fusion.w"] += gw
-    grads["fusion.b"] += gb
+    grads["fusion.w"] = gw
+    grads["fusion.b"] = gb
     n = config.enc_channels
     g_a = g_cat[:n]
     g_v = resize_linear_time_vjp(cache["v"], cache["t_a"], np.ascontiguousarray(g_cat[n:].T))
@@ -156,7 +156,7 @@ def _fuse_bwd(cache, params, config, g_f, grads):
 
 def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> ModelParams:
     """Parameter cotangents of <g_out, enhance(wave, frames)>."""
-    grads = {name: np.zeros_like(v) for name, v in params.items()}
+    grads = {}
     am = cache["am"]
     t_pad_frames = am.shape[1]
     t_pad = (t_pad_frames - 1) * config.enc_stride + config.enc_kernel
@@ -165,8 +165,8 @@ def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> Model
     g_am, gw, gb = conv_transpose1d_vjp(
         am, params["dec.w"], params["dec.b"], g_dec, stride=config.enc_stride
     )
-    grads["dec.w"] += gw
-    grads["dec.b"] += gb
+    grads["dec.w"] = gw
+    grads["dec.b"] = gb
     g_a = g_am * cache["m"]
     g_mask = g_am * cache["a"]
     g_f = _separator_bwd(cache["sep"], params, config, g_mask, grads)
@@ -181,6 +181,6 @@ def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> Model
         g_enc_pre,
         stride=config.enc_stride,
     )
-    grads["enc.w"] += gw
-    grads["enc.b"] += gb
+    grads["enc.w"] = gw
+    grads["enc.b"] = gb
     return grads

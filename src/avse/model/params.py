@@ -70,7 +70,6 @@ def _trunk_stages(config: ModelConfig) -> list[tuple[int, int]]:
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape table for every learnable tensor."""
-    config.check()
     n = config.enc_channels
     k = config.enc_kernel
     dv = config.visual_embed

@@ -33,10 +33,12 @@ and nothing sized by all T steps is built besides the output.
 The two directions share no state, so in inference each may run on
 its own core.  The time loop is one function over a slice of the
 direction axis: the calling thread runs slice(0, 2), or slice(0, 1)
-while one persistent worker thread runs slice(1, 2).  Either schedule
-gives the same bits.  Every GEMM keeps its shape and operands, every
-elementwise step is the same per element, and each thread writes only
-its own direction's parts of the output.
+while a worker thread that lives only for that call runs slice(1, 2).
+Starting and joining it adds about 70 us a call over a pooled thread
+(2-core guest), and the default config's enhance makes at most 8 such
+calls.  Either schedule gives the same bits.  Every GEMM keeps its
+shape and operands, every elementwise step is the same per element, and
+each thread writes only its own direction's parts of the output.
 
 Only the forward without a cache splits; training (the forward that
 keeps its records, and the backward) stays on the calling thread.
@@ -71,8 +73,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,42 +141,19 @@ def _blas_threads() -> int:
     return _cpu_count()
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _worker() -> ThreadPoolExecutor:
-    """The one persistent thread that runs the time-reversed direction."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="avse-bilstm")
-        return _pool
-
-
-def _drop_worker() -> None:
-    global _pool, _pool_lock
-    # A forked child has no copy of the parent's thread, and the lock may
-    # have been held by another of the parent's threads.
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
 def _by_direction(run, split: bool) -> list:
     """run(slice(0, 2)) on this thread; or, split, run(slice(0, 1)) here
-    while the worker runs run(slice(1, 2)) in a copy of this thread's
-    context (so np.errstate holds there too).  Returns the results in
-    direction order and re-raises the worker's exception here."""
+    while a worker thread started for this call runs run(slice(1, 2)) in a
+    copy of this thread's context (so np.errstate holds there too).
+    Returns the results in direction order, after the worker has ended,
+    also when this thread's direction raised; re-raises the worker's
+    exception here."""
     if not split:
         return [run(slice(0, 2))]
-    job = _worker().submit(contextvars.copy_context().run, run, slice(1, 2))
-    try:
+    # Leaving the block joins the worker, which writes into the caller's arrays.
+    with ThreadPoolExecutor(1, thread_name_prefix="avse-bilstm") as worker:
+        job = worker.submit(contextvars.copy_context().run, run, slice(1, 2))
         mine = run(slice(0, 1))
-    finally:
-        wait([job])  # the worker writes into the caller's arrays
     return [mine, job.result()]
 
 
@@ -326,7 +304,7 @@ def bilstm_backward_batched(
             xh[:, 0, :, d + 1 :] = 0
         gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(2, n * nb, -1))
     gw = np.delete(gwb, d, axis=2)
-    gb = gwb[:, :, d]
+    gb = gwb[:, :, d].copy()  # a view would hold all of gwb alive
     return gx.transpose(1, 0, 2), gw[0], gb[0], gw[1], gb[1]
 
 

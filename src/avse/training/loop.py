@@ -112,7 +112,7 @@ def train_scenes(
             # dec.b adds a constant, which SI-SDR cannot see: its gradient is
             # rounding noise that Adam would scale into steps, so hold it.
             grads["dec.b"][...] = 0.0
-            params, state = adam_step(params, grads, state)
+            adam_step(params, grads, state)
             losses.append(loss)
             sisdrs.append(si_sdr(target.astype(np.float64), out.astype(np.float64)))
         logs.append(

@@ -30,10 +30,8 @@ def init_optimizer(params: ModelParams, lr: float = 1e-3) -> OptimizerState:
     )
 
 
-def adam_step(
-    params: ModelParams, grads: ModelParams, state: OptimizerState
-) -> tuple[ModelParams, OptimizerState]:
-    """One update; mutates params and state in place and returns them."""
+def adam_step(params: ModelParams, grads: ModelParams, state: OptimizerState) -> None:
+    """One update, in place: moves ``params`` and advances ``state``."""
     shapes = {name: p.shape for name, p in params.items()}
     check_tensors(grads, shapes, "gradients")
     check_tensors(state.m, shapes, "first moments")
@@ -51,7 +49,6 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * np.square(g)
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
 
 
 def clip_global_norm(grads: ModelParams, max_norm: float) -> float:

@@ -8,6 +8,10 @@ the ~1e-7..1e-6 errors a correct backward pass produces at step 1e-5.
 import numpy as np
 import pytest
 
+from avse.data.synth import synth_scene
+from avse.model.config import tiny_config
+from avse.model.grad import enhance_bwd, enhance_fwd
+from avse.model.params import init_parameters
 from avse.ops import conv, dense
 from avse.ops.rnn import (
     LstmParams,
@@ -248,9 +252,6 @@ class TestEndToEnd:
         Rotates through seeds 0..4, so detection also demonstrates
         coverage of every named tensor across those seeds.
         """
-        from avse.model.params import init_parameters
-        from avse.model.config import tiny_config
-
         names = list(init_parameters(tiny_config(), 0))
         real_bwd = gradcheck.enhance_bwd
         for i, name in enumerate(names):
@@ -261,3 +262,25 @@ class TestEndToEnd:
 
             monkeypatch.setattr(gradcheck, "enhance_bwd", corrupted)
             assert grad_check(seed=i % 5) > END_TO_END_TOL, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cotangents_own_exactly_their_memory(self, dtype):
+        """enhance_bwd returns one cotangent per parameter, with its dtype
+        and shape, and the arrays behind them hold those cotangents and no
+        more: no view keeps a larger work array alive."""
+        config = tiny_config()
+        params = init_parameters(config, 0, dtype=dtype)
+        scene = synth_scene(0, 0.5, config)
+        out, cache = enhance_fwd(
+            scene.target.astype(dtype), scene.frames.astype(dtype), params, config
+        )
+        grads = enhance_bwd(cache, params, config, np.ones_like(out))
+        assert set(grads) == set(params)
+        for name, p in params.items():
+            assert (grads[name].dtype, grads[name].shape) == (p.dtype, p.shape), name
+        bases = {}
+        for g in grads.values():
+            while g.base is not None:
+                g = g.base
+            bases[id(g)] = g
+        assert sum(b.nbytes for b in bases.values()) == sum(p.nbytes for p in params.values())

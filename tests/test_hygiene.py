@@ -173,3 +173,14 @@ def test_every_public_definition_is_referenced():
         if missing:
             found[str(path.relative_to(PACKAGE))] = missing
     assert found == {}
+
+
+def test_no_global_statement():
+    """Module state is bound once, at import: no function rebinds it."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

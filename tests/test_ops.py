@@ -654,7 +654,19 @@ class TestBilstmBatched:
             rnn._by_direction(run, True)
         assert done == [slice(0, 1)]
 
-    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+    def test_split_call_leaves_no_thread_behind(self, monkeypatch):
+        """The worker lives only for its call: after a split forward the
+        process runs as many threads as before it, and none of them is a
+        BiLSTM worker."""
+        stream = Stream(429)
+        p = _random_lstm(stream, 5, 6)
+        monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: True)
+        before = threading.active_count()
+        bilstm_forward_batched(randn(stream, (3, 8, 5)), p, keep_cache=False)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("avse-bilstm")]
+
+    def test_concurrent_split_callers_match_the_fused_call(self, monkeypatch):
         """Six threads call the split BiLSTM at once, with the interpreter
         switching threads every microsecond; each gets exactly what a
         lone fused call gives."""
@@ -688,10 +700,10 @@ class TestBilstmBatched:
         assert all(np.array_equal(got, want) for got, want in zip(results, expected))
 
     def test_small_steps_one_cpu_or_threaded_blas_never_touch_the_worker(self, monkeypatch):
-        def no_worker():
+        def no_worker(*args, **kwargs):
             raise AssertionError("the worker was used")
 
-        monkeypatch.setattr(rnn, "_worker", no_worker)
+        monkeypatch.setattr(rnn, "ThreadPoolExecutor", no_worker)
         for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         tiny, full = tiny_config(), default_config()
@@ -725,10 +737,10 @@ class TestBilstmBatched:
         """Where the forward without a cache splits, the forward that keeps
         its records and the backward still never touch the worker."""
 
-        def no_worker():
+        def no_worker(*args, **kwargs):
             raise AssertionError("the worker was used")
 
-        monkeypatch.setattr(rnn, "_worker", no_worker)
+        monkeypatch.setattr(rnn, "ThreadPoolExecutor", no_worker)
         monkeypatch.setattr(rnn, "split_directions", lambda nb, d, hs: True)
         stream = Stream(428)
         p = _random_lstm(stream, 5, 6)

@@ -78,7 +78,7 @@ class TestAdamStep:
     def test_zero_gradients_leave_parameters_unchanged(self):
         params, state = self._setup()
         before = {n: params[n].copy() for n in params}
-        params, state = adam_step(params, _zeros_like(params), state)
+        adam_step(params, _zeros_like(params), state)
         assert state.t == 1
         for name in params:
             assert np.array_equal(params[name], before[name]), name
@@ -90,11 +90,11 @@ class TestAdamStep:
         grads = _zeros_like(params)
         for name in grads:
             grads[name][...] = 1.0
-        params, state = adam_step(params, grads, state)
+        adam_step(params, grads, state)
         m_after_one = {n: np.abs(state.m[n]).max() for n in params}
         zero = _zeros_like(params)
         for _ in range(10):
-            params, state = adam_step(params, zero, state)
+            adam_step(params, zero, state)
         for name in params:
             assert np.abs(state.m[name]).max() < m_after_one[name]
 
@@ -105,7 +105,7 @@ class TestAdamStep:
         grads = _zeros_like(params)
         for name in grads:
             grads[name][...] = 1.0
-        params, state = adam_step(params, grads, state)
+        adam_step(params, grads, state)
         expected = -1e-3 / (1.0 + 1e-8)
         for name in params:
             delta = params[name] - before[name]
@@ -119,7 +119,7 @@ class TestAdamStep:
             for i, name in enumerate(grads):
                 grads[name][...] = 0.1 * (i + 1)
             for _ in range(3):
-                params, state = adam_step(params, grads, state)
+                adam_step(params, grads, state)
             runs.append({n: params[n].copy() for n in params})
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name])
