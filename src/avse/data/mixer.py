@@ -20,16 +20,23 @@ CROSSFADE_S = 0.010
 
 
 def _loop_with_crossfade(x: np.ndarray, length: int, xfade: int) -> np.ndarray:
-    out = x.copy()
-    while out.shape[0] < length:
-        # cap the fade so every pass appends at least one sample
-        xf = min(xfade, out.shape[0], x.shape[0] - 1)
-        if xf > 0:
-            ramp = (np.arange(xf) + 1.0) / (xf + 1.0)
-            blended = out[-xf:] * (1.0 - ramp) + x[:xf] * ramp
-            out = np.concatenate([out[:-xf], blended, x[xf:]])
-        else:
-            out = np.concatenate([out, x])
+    """Repeat ``x`` (shorter than ``length``) to ``length`` samples, blending
+    ``xfade`` samples at each seam.  Each pass writes into one array, so the
+    cost is linear in ``length`` however short ``x`` is."""
+    n = x.shape[0]
+    # cap the fade so every pass appends at least one sample
+    xf = min(xfade, n - 1)
+    ramp = (np.arange(xf) + 1.0) / (xf + 1.0)
+    fade_out, faded_in = 1.0 - ramp, x[:xf] * ramp
+    out = np.empty(length + n, dtype=np.result_type(x, ramp) if xf > 0 else x.dtype)
+    out[:n] = x
+    end = n
+    while end < length:
+        tail = out[end - xf : end]
+        tail *= fade_out
+        tail += faded_in
+        out[end : end + n - xf] = x[xf:]
+        end += n - xf
     return out[:length]
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from avse.data.wavio import MAX_SAMPLES
 from avse.errors import ConfigError
@@ -80,6 +79,10 @@ def synth_scene(seed: int, duration_s: float, config: ModelConfig) -> Scene:
         carrier += a * np.sin(2 * np.pi * f0 * h * t + ph)
     target = env * carrier
     target *= 0.5 / np.abs(target).max()
+
+    # Imported here, not at module level: scipy.signal takes most of a
+    # second to import, and enhance and train never synthesize a scene.
+    from scipy.signal import lfilter
 
     noise_stream = root.spawn(_SUB_NOISE)
     rho = noise_stream.uniform(1, 0.5, 0.95)[0]

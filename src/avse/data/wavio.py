@@ -44,12 +44,14 @@ def load_wav(path) -> tuple[np.ndarray, int]:
         raise UnsupportedFormatError(f"{path}: magic {magic!r} is not RIFF")
     if wave_id != b"WAVE":
         raise UnsupportedFormatError(f"{path}: form type {wave_id!r} is not WAVE")
+    # chunk bodies are views of the file's bytes, not copies
+    view = memoryview(blob)
     pos = 12
     fmt = None
     data = None
     while pos + 8 <= len(blob):
-        chunk_id, size = struct.unpack("<4sI", blob[pos : pos + 8])
-        body = blob[pos + 8 : pos + 8 + size]
+        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
+        body = view[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorruptFileError(f"{path}: fmt chunk truncated")
@@ -76,7 +78,8 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     if len(data) % 2 != 0:
         raise CorruptFileError(f"{path}: odd data size {len(data)} for 16-bit samples")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
-    return samples / 32768.0, rate
+    samples /= 32768.0
+    return samples, rate
 
 
 def save_wav(path, wave: np.ndarray, sample_rate_hz: int) -> None:

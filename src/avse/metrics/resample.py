@@ -9,7 +9,6 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from avse.errors import ConfigError
 
@@ -36,4 +35,8 @@ def resample(x: np.ndarray, from_hz: int, to_hz: int) -> np.ndarray:
         )
     if up == down:
         return np.asarray(x, dtype=np.float64).copy()
+    # Imported on first use: scipy.signal takes most of a second to import,
+    # and only STOI resamples.
+    from scipy.signal import resample_poly
+
     return resample_poly(np.asarray(x, dtype=np.float64), up, down)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from avse.data.manifest import ManifestEntry, load_manifest, write_manifest
-from avse.data.mixer import fit_interferer, mix_scene
+from avse.data.mixer import CROSSFADE_S, fit_interferer, mix_scene
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
 from avse.data.wavio import MAX_RATE_HZ, MAX_SAMPLES, load_wav, save_wav
@@ -58,6 +58,18 @@ class TestLoadWav:
         wave, rate = load_wav(path)
         assert rate == 16000
         assert np.array_equal(wave, [0.0, 32767.0 / 32768.0, -1.0, 0.5])
+
+    def test_load_peak_is_the_file_and_the_returned_array(self, tmp_path):
+        """Chunk bodies are read as views of the file's bytes and the
+        samples are scaled in place: no copy of the payload, no second
+        float64 array."""
+        path = tmp_path / "ten_seconds.wav"
+        save_wav(path, Stream(93).uniform(160000, -1.0, 1.0), 16000)
+        (wave, rate), peak = traced_peak(load_wav, path)
+        raw = path.read_bytes()
+        assert rate == 16000
+        assert np.array_equal(wave, np.frombuffer(raw[44:], "<i2") / 32768.0)
+        assert peak <= len(raw) + wave.nbytes + 2**16
 
     def test_rifx_magic_rejected(self, tmp_path):
         data = bytearray(_pcm16_wav_bytes([0, 0]))
@@ -209,6 +221,21 @@ class TestTensorFile:
         assert np.array_equal(back, read_tensor(path))
 
 
+def _loop_with_crossfade_reference(x, length, xfade):
+    """The looping rule one pass at a time, concatenating the whole output
+    on every pass."""
+    out = x.copy()
+    while out.shape[0] < length:
+        xf = min(xfade, out.shape[0], x.shape[0] - 1)
+        if xf > 0:
+            ramp = (np.arange(xf) + 1.0) / (xf + 1.0)
+            blended = out[-xf:] * (1.0 - ramp) + x[:xf] * ramp
+            out = np.concatenate([out[:-xf], blended, x[xf:]])
+        else:
+            out = np.concatenate([out, x])
+    return out[:length]
+
+
 class TestMixScene:
     def test_unit_gain_at_zero_snr_equal_power(self):
         """Equal-power signals at 0 dB must use gain exactly 1: mixing a
@@ -266,6 +293,20 @@ class TestMixScene:
         interferer = randn(Stream(90), (300,))
         fitted = fit_interferer(interferer, 1000, seed=0, sample_rate_hz=16000)
         assert fitted.shape == (1000,)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n, rate", [(1, 16000), (2, 16000), (3, 16000), (100, 16000),
+                                         (300, 16000), (7, 50)])
+    def test_loop_matches_the_concatenating_reference(self, n, rate, dtype):
+        """1-3 samples fade over all but one; 100 fades over more than half
+        of the interferer, so seams blend into earlier seams; 50 Hz gives a
+        zero-sample fade."""
+        interferer = randn(Stream(92), (n,)).astype(dtype)
+        xfade = int(CROSSFADE_S * rate)
+        expected = _loop_with_crossfade_reference(interferer, 1000, xfade)
+        got = fit_interferer(interferer, 1000, sample_rate_hz=rate)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
     def test_zero_energy_inputs_rejected(self):
         target = randn(Stream(91), (100,))

@@ -2,7 +2,8 @@
 imports is used in that module, every public function, class and method
 the package defines is referenced somewhere in the repository, and each
 name has one import path, the module that defines it: package
-``__init__.py`` files import nothing."""
+``__init__.py`` files import nothing.  Start-up loads only what every
+command needs: ``scipy.signal`` waits for the first scene or STOI score."""
 
 import ast
 import os
@@ -11,7 +12,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from avse.data.manifest import ManifestEntry, write_manifest
+from avse.data.synth import synth_scene
+from avse.data.tensorfile import write_tensor
+from avse.data.wavio import save_wav
+from avse.model.config import tiny_config
+from avse.model.params import init_parameters
+from avse.training.checkpoint import Checkpoint, save_checkpoint
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "avse"
@@ -65,18 +75,56 @@ def test_package_inits_import_nothing():
     assert INITS and found == {}
 
 
+def loaded_in_fresh_interpreter(code: str, modules) -> tuple[str, list[str]]:
+    """Run ``code`` in a new interpreter; returns (what it printed, the
+    names of ``modules`` it loaded)."""
+    probe = f"\nimport sys\nprint(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code + probe], capture_output=True, text=True,
+                         check=True, env=env)
+    *printed, loaded = out.stdout.strip().splitlines()
+    return "\n".join(printed), ast.literal_eval(loaded)
+
+
 def test_loss_loads_no_stoi_wav_or_scipy_signal():
     """The training loss reaches SI-SDR through its own module, not through
     the metrics package, so it does not load STOI and what STOI needs."""
-    code = (
-        "import sys, avse.training.loss\n"
-        "print(sorted(m for m in ('scipy.signal', 'avse.metrics.stoi', 'avse.data.wavio')"
-        " if m in sys.modules))"
+    _, loaded = loaded_in_fresh_interpreter(
+        "import avse.training.loss", ("scipy.signal", "avse.metrics.stoi", "avse.data.wavio")
     )
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert loaded == []
+
+
+def test_cli_and_loop_load_no_scipy_signal():
+    """scipy.signal takes most of a second to import and only scene
+    synthesis and STOI call it, so they import it where they call it."""
+    _, loaded = loaded_in_fresh_interpreter("import avse.cli, avse.training.loop",
+                                            ("scipy.signal",))
+    assert loaded == []
+
+
+def test_enhance_and_train_commands_load_no_scipy_signal(tmp_path):
+    config = tiny_config()
+    model = tmp_path / "m.avck"
+    save_checkpoint(model, Checkpoint(config, init_parameters(config, 0, dtype=np.float32)))
+    scene = synth_scene(0, 0.5, config)
+    save_wav(tmp_path / "t.wav", scene.target, scene.sample_rate_hz)
+    save_wav(tmp_path / "i.wav", scene.interferer, scene.sample_rate_hz)
+    write_tensor(tmp_path / "f.avst", scene.frames.astype(np.float32))
+    write_manifest(tmp_path / "manifest.jsonl",
+                   [ManifestEntry("s", "t.wav", "i.wav", "f.avst", scene.snr_db)])
+    (tmp_path / "tiny.json").write_text(config.to_json(), encoding="utf-8")
+    commands = {
+        "enhance": ["enhance", "--model", model, "--audio", tmp_path / "t.wav",
+                    "--frames", tmp_path / "f.avst", "--out", tmp_path / "o.wav"],
+        "train": ["train", "--data", tmp_path, "--config", tmp_path / "tiny.json",
+                  "--epochs", "1", "--out", tmp_path / "trained.avck"],
+    }
+    for name, argv in commands.items():
+        call = f"from avse import cli\nprint(cli.main({[str(a) for a in argv]!r}))"
+        printed, loaded = loaded_in_fresh_interpreter(call, ("scipy.signal",))
+        assert (name, printed.splitlines()[-1], loaded) == (name, "0", [])
+    assert (tmp_path / "o.wav").is_file() and (tmp_path / "trained.avck").is_file()
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
