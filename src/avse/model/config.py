@@ -118,10 +118,6 @@ class ModelConfig:
         if not np.isfinite(frames).all():
             raise DataError(f"{label}: frames contain non-finite pixels")
 
-    def audio_frames(self, n_samples: int) -> int:
-        """Encoder output length for an input of n_samples."""
-        return (n_samples - self.enc_kernel) // self.enc_stride + 1
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
@@ -171,12 +167,3 @@ def tiny_config() -> ModelConfig:
         chunk_len=4,
         frame_hw=(16, 16),
     )
-
-
-def scaled_config(base: ModelConfig, **overrides) -> ModelConfig:
-    """A copy of ``base`` with the given fields replaced (revalidated).
-
-    Derived values (``chunk_hop``, ``fusion_channels``) are not fields and
-    are refused like any other unknown name.
-    """
-    return ModelConfig.from_dict({**asdict(base), **overrides})

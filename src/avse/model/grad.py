@@ -25,7 +25,7 @@ from avse.model.network import (
     visual_forward_fwd,
 )
 from avse.ops.conv import conv1d_vjp, conv3d_vjp, conv_transpose1d, conv_transpose1d_vjp
-from avse.ops.dense import activation_vjp, group_norm_vjp, linear_vjp, resize_linear_time_vjp
+from avse.ops.dense import group_norm_vjp, linear_vjp, resize_linear_time_vjp
 from avse.ops.rnn import bilstm_backward_batched
 
 
@@ -69,9 +69,9 @@ def _conv_norm_bwd(unit, params, config, g, grads):
 
 
 def _trunk_block_bwd(cache, params, config, g_out, grads):
-    g_total = activation_vjp("relu", cache["total"], g_out)
+    g_total = g_out * (cache["total"] > 0)
     g_h1 = _conv_norm_bwd(cache["conv2"], params, config, g_total, grads)
-    g_n1 = activation_vjp("relu", cache["n1"], g_h1)
+    g_n1 = g_h1 * (cache["n1"] > 0)
     g_x = _conv_norm_bwd(cache["conv1"], params, config, g_n1, grads)
     if cache["shortcut"] is None:
         return g_x + g_total
@@ -87,7 +87,7 @@ def _visual_bwd(cache, params, config, g_v, grads):
     g_h = np.broadcast_to(g_feats.T[:, :, None, None] / (h * w), (c, f, h, w)).copy()
     for block in reversed(cache["blocks"]):
         g_h = _trunk_block_bwd(block, params, config, g_h, grads)
-    g_pre = activation_vjp("relu", cache["pre_front"], g_h)
+    g_pre = g_h * (cache["pre_front"] > 0)
     _, gw, gb = conv3d_vjp(
         cache["frames_x"],
         params["vfn.front.w"],
@@ -144,7 +144,7 @@ def _separator_bwd(cache, params, config, g_mask, grads):
 
 
 def _fuse_bwd(cache, params, config, g_f, grads):
-    g_pre = activation_vjp("relu", cache["pre"], g_f)
+    g_pre = g_f * (cache["pre"] > 0)
     g_cat, gw, gb = conv1d_vjp(cache["cat"], params["fusion.w"], params["fusion.b"], g_pre)
     grads["fusion.w"] = gw
     grads["fusion.b"] = gb
@@ -173,7 +173,7 @@ def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> Model
     g_a2, g_v = _fuse_bwd(cache["fuse"], params, config, g_f, grads)
     g_a = g_a + g_a2
     _visual_bwd(cache["vis"], params, config, g_v, grads)
-    g_enc_pre = activation_vjp("relu", cache["enc"]["pre"], g_a)
+    g_enc_pre = g_a * (cache["enc"]["pre"] > 0)
     _, gw, gb = conv1d_vjp(
         cache["enc"]["wave"][None],
         params["enc.w"],

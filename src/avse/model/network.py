@@ -15,12 +15,13 @@ cache.  Gradients live in ``avse.model.grad``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from avse.errors import EmptySequenceError, InputTooShortError, ShapeError
 from avse.model.config import ModelConfig
-from avse.model.params import ModelParams, _trunk_stages
+from avse.model.params import ModelParams
 from avse.ops.conv import conv1d, conv3d, conv_transpose1d
-from avse.ops.dense import _update, activation, group_norm, linear, resize_linear_time
+from avse.ops.dense import _update, group_norm, linear, resize_linear_time
 from avse.ops.rnn import LstmParams, bilstm_forward_batched
 
 
@@ -39,7 +40,7 @@ def encode_audio_fwd(wave, params, config):
             f"kernel {config.enc_kernel}"
         )
     pre = conv1d(wave[None], params["enc.w"], params["enc.b"], stride=config.enc_stride)
-    return activation("relu", pre), {"wave": wave, "pre": pre}
+    return np.maximum(pre, 0), {"wave": wave, "pre": pre}
 
 
 # The frontend keeps the frame count and halves H and W; its padding is
@@ -62,7 +63,7 @@ def _trunk_block_fwd(x, params, base, s, config):
     n1, unit1 = _conv_norm_fwd(
         x, params, f"{base}.conv1", f"{base}.gn1", (1, s, s), (0, 1, 1), config
     )
-    h1 = activation("relu", n1)
+    h1 = np.maximum(n1, 0)
     n2, unit2 = _conv_norm_fwd(
         h1, params, f"{base}.conv2", f"{base}.gn2", (1, 1, 1), (0, 1, 1), config
     )
@@ -72,7 +73,7 @@ def _trunk_block_fwd(x, params, base, s, config):
             x, params, f"{base}.proj", f"{base}.proj_gn", (1, s, s), 0, config
         )
     total = n2 + sc
-    out = activation("relu", total)
+    out = np.maximum(total, 0)
     return out, {"conv1": unit1, "n1": n1, "conv2": unit2, "shortcut": shortcut, "total": total}
 
 
@@ -92,9 +93,9 @@ def visual_forward_fwd(frames, params, config):
     pre_front = conv3d(
         x, params["vfn.front.w"], params["vfn.front.b"], stride=FRONT_STRIDE, pad=pad
     )
-    h = activation("relu", pre_front)
+    h = np.maximum(pre_front, 0)
     blocks = []
-    for i, _ in enumerate(_trunk_stages(config)):
+    for i in range(len(config.vfn_trunk_channels)):
         for j in range(config.vfn_blocks_per_stage):
             stride = 2 if j == 0 else 1
             h, cache = _trunk_block_fwd(h, params, f"vfn.trunk.s{i}.b{j}", stride, config)
@@ -131,7 +132,7 @@ def fuse_fwd(a, v, params, config):
     vr = resize_linear_time(v, t_a)  # [T_a, D_v]
     cat = np.concatenate([a, vr.T], axis=0)  # audio first, visual after
     pre = conv1d(cat, params["fusion.w"], params["fusion.b"])
-    return activation("relu", pre), {"v": v, "t_a": t_a, "cat": cat, "pre": pre}
+    return np.maximum(pre, 0), {"v": v, "t_a": t_a, "cat": cat, "pre": pre}
 
 
 def segment_time(x: np.ndarray, hop: int) -> np.ndarray:
@@ -225,7 +226,9 @@ def separator_forward_fwd(fused, params, config, keep_cache=True):
         units.append({"intra": intra_cache, "inter": inter_cache})
     mask_in = overlap_add(chunks, t_a)
     pre = conv1d(mask_in, params["mask.w"], params["mask.b"])
-    mask = activation("sigmoid", pre)
+    # One pass in the input's dtype; saturates to 0 and 1 without
+    # overflow warnings.
+    mask = expit(pre)
     if not keep_cache:
         return mask, None
     cache = {

@@ -1,4 +1,4 @@
-"""Pointwise, affine, and normalization operations with VJPs.
+"""Affine, normalization and linear time-resize operations with VJPs.
 
 Every result owns its memory, and no input is ever written.  The affine
 and normalization ops build their result in one array they allocate and
@@ -11,11 +11,8 @@ allocates instead, so mixed dtypes promote as they always did.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from avse.errors import ConfigError, ShapeError
-
-_ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def _update(ufunc: np.ufunc, a: np.ndarray, b) -> np.ndarray:
@@ -57,32 +54,6 @@ def linear_vjp(
     gw = gy_flat.T @ x.reshape(-1, w.shape[1])
     gb = gy_flat.sum(axis=0) if b is not None else None
     return gx, gw, gb
-
-
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
-    """Elementwise nonlinearity; kind is one of relu, sigmoid, tanh."""
-    if kind == "relu":
-        return np.maximum(x, 0)
-    if kind == "sigmoid":
-        # One pass in the input's dtype; saturates to 0 and 1 without
-        # overflow warnings.
-        return expit(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ConfigError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
-
-
-def activation_vjp(kind: str, x: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Cotangent of the input of activation(kind, x)."""
-    if kind == "relu":
-        return gy * (x > 0)
-    if kind == "sigmoid":
-        y = activation("sigmoid", x)
-        return gy * y * (1.0 - y)
-    if kind == "tanh":
-        y = np.tanh(x)
-        return gy * (1.0 - y * y)
-    raise ConfigError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
 
 
 def _grouped(x: np.ndarray, groups: int) -> np.ndarray:

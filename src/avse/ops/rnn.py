@@ -18,10 +18,10 @@ bias included (exact in binary floating point): then
 sigmoid(z) = 1/2 + 1/2 tanh(z/2) for the first three blocks is one
 in-place multiply-add on the tanh slab, and the cell gate keeps its
 tanh.  SciPy's ``expit`` is several times slower per element than
-NumPy's tanh.  ``activation("sigmoid")`` in ``ops/dense.py`` keeps
-``expit`` all the same: 1/2 + 1/2 tanh(z/2) loses relative accuracy
-where the sigmoid saturates towards 0, and that function is held to
-1e-15 of the logistic formula for |z| <= 30.
+NumPy's tanh.  The mask head in ``model/network.py`` keeps ``expit``
+all the same: 1/2 + 1/2 tanh(z/2) loses relative accuracy where the
+sigmoid saturates towards 0, and the mask is held to 1e-15 of the
+logistic formula for |z| <= 30.
 
 The gate and cell records are kept in step order, gate-major and packed
 ([T, 4, 2, B, H], blocks i, f, o, g).  The backward pass walks the same
@@ -241,6 +241,8 @@ def bilstm_backward_batched(
     x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
     hs = cache["hidden_size"]
     nb, t, d = x.shape
+    if gy.shape != (nb, t, 2 * hs):
+        raise ShapeError(f"cotangent shape {gy.shape} does not match output {(nb, t, 2 * hs)}")
     ct = gates.dtype
     # Gate cotangents dz follow the stored i, f, g, o order, so the
     # products below take wb as it is.
@@ -306,24 +308,3 @@ def bilstm_backward_batched(
     gw = np.delete(gwb, d, axis=2)
     gb = gwb[:, :, d].copy()  # a view would hold all of gwb alive
     return gx.transpose(1, 0, 2), gw[0], gb[0], gw[1], gb[1]
-
-
-def bilstm_layer(x: np.ndarray, params: LstmParams) -> np.ndarray:
-    """Bidirectional LSTM over [T, D]; returns [T, 2H]."""
-    if x.ndim != 2:
-        raise ShapeError(f"BiLSTM input must be [T, D], got shape {x.shape}")
-    y, _ = bilstm_forward_batched(x[None], params, keep_cache=False)
-    return y[0]
-
-
-def bilstm_layer_vjp(
-    x: np.ndarray, params: LstmParams, gy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cotangents of bilstm_layer: returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
-    if gy.shape != (x.shape[0], 2 * params.hidden_size):
-        raise ShapeError(
-            f"cotangent shape {gy.shape} does not match ({x.shape[0]}, {2 * params.hidden_size})"
-        )
-    _, cache = bilstm_forward_batched(x[None], params)
-    gx, gw_fw, gb_fw, gw_bw, gb_bw = bilstm_backward_batched(cache, gy[None])
-    return gx[0], gw_fw, gb_fw, gw_bw, gb_bw

@@ -1,22 +1,32 @@
-"""Shared test utilities: finite differences, relative error, the per-step
-BiLSTM reference, out-of-place references for the dense ops, the
-pinned golden case and the file-reader probes."""
+"""Shared test utilities: config variants, finite differences, relative
+error, the per-step BiLSTM reference, out-of-place references for the
+dense ops, the pinned golden case and the file-reader probes."""
 
 import os
 import threading
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 
 from avse.data.mixer import mix_scene
 from avse.data.synth import synth_scene
-from avse.model.config import tiny_config
+from avse.model.config import ModelConfig, tiny_config
 from avse.model.grad import enhance_bwd, enhance_fwd
 from avse.model.params import init_parameters
 from avse.prng import Stream
 from avse.training.loss import si_sdr_loss_vjp
 
 FD_STEP = 1e-5
+
+
+def scaled_config(base: ModelConfig, **overrides) -> ModelConfig:
+    """A copy of ``base`` with the given fields replaced (revalidated).
+
+    Derived values (``chunk_hop``, ``fusion_channels``) are not fields and
+    are refused like any other unknown name.
+    """
+    return ModelConfig.from_dict({**asdict(base), **overrides})
 
 
 def rel_err(numeric, analytic) -> float:

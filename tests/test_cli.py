@@ -17,11 +17,13 @@ from avse import cli
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
 from avse.data.wavio import load_wav, save_wav
-from avse.model.config import default_config, scaled_config, tiny_config
+from avse.model.config import default_config, tiny_config
 from avse.model.params import count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
 from avse.training.checkpoint import Checkpoint, save_checkpoint
 from avse.training.optimizer import init_optimizer
+
+from helpers import scaled_config
 
 
 def _run(argv):

@@ -1,9 +1,10 @@
 """Source hygiene with no linter installed: every name a package module
 imports is used in that module, every public function, class and method
-the package defines is referenced somewhere in the repository, and each
-name has one import path, the module that defines it: package
-``__init__.py`` files import nothing.  Start-up loads only what every
-command needs: ``scipy.signal`` waits for the first scene or STOI score."""
+the package defines is referenced by code that runs it (the package, the
+tools or the benchmark, not the tests alone), and each name has one
+import path, the module that defines it: package ``__init__.py`` files
+import nothing.  Start-up loads only what every command needs:
+``scipy.signal`` waits for the first scene or STOI score."""
 
 import ast
 import os
@@ -27,8 +28,9 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "avse"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 INITS = [p for p in MODULES if p.name == "__init__.py"]
-# Where a reference to a package definition may live.
-SEARCHED = ("src", "tests", "tools", "perfbench")
+# Where a reference keeps a package definition alive: code that runs it.
+# A definition only tests call is test code, and lives in the tests.
+SEARCHED = ("src", "tools", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from avse.errors import ConfigError, InputTooShortError, ShapeError
-from avse.model.config import (
-    ModelConfig,
-    default_config,
-    scaled_config,
-    tiny_config,
-)
+from avse.model.config import ModelConfig, default_config, tiny_config
 from avse.model.network import (
     apply_mask,
     decode_audio,
@@ -30,7 +25,7 @@ from avse.model.network import (
 from avse.model.params import check_tensors, count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
 
-from helpers import randn
+from helpers import randn, scaled_config
 
 # Exact default-config size; the band check against [4.5e6, 5.7e6] lives
 # in the acceptance suite.
@@ -118,9 +113,12 @@ class TestModelConfig:
             scaled_config(default_config(), vfn_norm_groups=7)
 
     def test_audio_frame_formula(self):
+        """The encoder gives (T - K) // S + 1 frames: one per whole kernel
+        window at stride S, a partial last hop dropped."""
         config = default_config()
-        assert config.audio_frames(16) == 1
-        assert config.audio_frames(16000) == 1999
+        params = init_parameters(config, 0)
+        for n, frames in ((16, 1), (23, 1), (24, 2), (16000, 1999)):
+            assert encode_audio(np.zeros(n), params, config).shape == (256, frames)
 
 
 class TestInitParameters:
@@ -373,6 +371,40 @@ class TestSeparator:
         finally:
             tracemalloc.stop()
         assert peak <= 4.25 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+
+
+def _mask_of_bias(config, dtype, bias):
+    """separator_forward with mask.w = 0: every column of the mask is the
+    sigmoid of mask.b, whatever the separator's paths compute."""
+    params = init_parameters(config, 0, dtype=dtype)
+    params["mask.w"] = np.zeros_like(params["mask.w"])
+    params["mask.b"] = np.asarray(bias, dtype=dtype)
+    fused = randn(Stream(42), (config.fusion_channels, 9)).astype(dtype)
+    return separator_forward(fused, params, config)
+
+
+class TestMaskHead:
+    """Why the mask's sigmoid is SciPy's expit and not the LSTM gates'
+    1/2 + 1/2 tanh(z/2) (see ops/rnn.py): it saturates to exactly 0 and 1
+    without a floating-point warning, keeps the dtype, and keeps its
+    relative accuracy where it tends to 0."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extremes_saturate_raise_nothing_and_keep_dtype(self, dtype):
+        config = tiny_config()
+        pattern = np.resize([-1e4, 1e4, 0.0], config.enc_channels)
+        with np.errstate(all="raise"):
+            mask = _mask_of_bias(config, dtype, pattern)
+        assert mask.dtype == dtype
+        expected = np.resize([0.0, 1.0, 0.5], config.enc_channels)[:, None]
+        assert np.array_equal(mask, np.broadcast_to(expected, mask.shape))
+
+    def test_matches_logistic_formula(self):
+        config = scaled_config(tiny_config(), enc_channels=601)
+        bias = np.linspace(-30.0, 30.0, config.enc_channels)
+        mask = _mask_of_bias(config, np.float64, bias)
+        ref = 1.0 / (1.0 + np.exp(-bias))
+        assert np.abs(mask / ref[:, None] - 1.0).max() < 1e-15
 
 
 class TestApplyMask:

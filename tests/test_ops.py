@@ -4,6 +4,7 @@ Hand cases pin exact arithmetic; shape laws and error paths pin the
 contracts.  Gradient agreement lives in test_gradients.py.
 """
 
+import re
 import sys
 import threading
 
@@ -19,7 +20,6 @@ from avse.ops.rnn import (
     LstmParams,
     bilstm_backward_batched,
     bilstm_forward_batched,
-    bilstm_layer,
 )
 from avse.prng import Stream
 
@@ -201,41 +201,6 @@ class TestLinear:
             dense.linear(np.zeros((2, 3)), np.zeros((4, 5)))
 
 
-class TestActivation:
-    def test_relu_clamps_negatives(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(dense.activation("relu", x), [0.0, 0.0, 3.0])
-
-    def test_sigmoid_saturates_without_overflow(self):
-        """Extreme inputs hit exactly 0 and 1 with no overflow warnings."""
-        with np.errstate(over="raise"):
-            y = dense.activation("sigmoid", np.array([-800.0, 800.0, 0.0]))
-        assert np.array_equal(y, [0.0, 1.0, 0.5])
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sigmoid_extremes_raise_nothing_and_keep_dtype(self, dtype):
-        x = np.array([-1e4, 1e4, 0.0], dtype=dtype)
-        with np.errstate(all="raise"):
-            y = dense.activation("sigmoid", x)
-        assert y.dtype == dtype
-        assert np.array_equal(y, [0.0, 1.0, 0.5])
-
-    def test_sigmoid_matches_logistic_formula(self):
-        x = np.linspace(-30.0, 30.0, 6001)
-        ref = 1.0 / (1.0 + np.exp(-x))
-        assert np.abs(dense.activation("sigmoid", x) / ref - 1.0).max() < 1e-15
-
-    def test_tanh_is_odd(self):
-        x = randn(Stream(14), (9,))
-        assert np.allclose(
-            dense.activation("tanh", x), -dense.activation("tanh", -x), atol=1e-15
-        )
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ConfigError):
-            dense.activation("gelu", np.zeros(3))
-
-
 class TestGroupNorm:
     def test_single_channel_hand_case(self):
         """x=[1,3]: mean 2, var 1 -> +-1/sqrt(1+eps) with unit affine."""
@@ -407,8 +372,8 @@ class TestBilstm:
             w_bw=randn(stream, (4 * h, d + h)),
             b_bw=randn(stream, (4 * h,)),
         )
-        y = bilstm_layer(randn(stream, (t, d)), p)
-        assert y.shape == (t, 2 * h)
+        y, _ = bilstm_forward_batched(randn(stream, (1, t, d)), p, keep_cache=False)
+        assert y.shape == (1, t, 2 * h)
 
     def test_zero_parameters_give_zero_output(self):
         p = LstmParams(
@@ -417,8 +382,8 @@ class TestBilstm:
             w_bw=np.zeros((8, 5)),
             b_bw=np.zeros(8),
         )
-        y = bilstm_layer(randn(Stream(20), (6, 3)), p)
-        assert np.array_equal(y, np.zeros((6, 4)))
+        y, _ = bilstm_forward_batched(randn(Stream(20), (1, 6, 3)), p, keep_cache=False)
+        assert np.array_equal(y, np.zeros((1, 6, 4)))
 
     def test_single_step_cell_oracle(self):
         """One step from zero state follows the gate equations exactly.
@@ -429,15 +394,15 @@ class TestBilstm:
         w = np.array([[0.3, 9.0], [0.1, 9.0], [-0.2, 9.0], [0.4, 9.0]])
         b = np.array([0.05, 1.0, -0.1, 0.2])
         p = LstmParams(w, b, w.copy(), b.copy())
-        x = np.array([[0.7]])
+        x = np.array([[[0.7]]])
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
         z = w[:, 0] * 0.7 + b
         expected = sig(z[3]) * np.tanh(sig(z[0]) * np.tanh(z[2]))
-        y = bilstm_layer(x, p)
-        assert np.allclose(y, [[expected, expected]], atol=1e-12)
+        y, _ = bilstm_forward_batched(x, p, keep_cache=False)
+        assert np.allclose(y, [[[expected, expected]]], atol=1e-12)
         assert abs(expected - (-0.08166088090772124)) < 1e-12
 
     def test_direction_symmetry(self):
@@ -450,11 +415,11 @@ class TestBilstm:
             w_bw=0.4 * randn(stream, (4 * h, d + h)),
             b_bw=0.4 * randn(stream, (4 * h,)),
         )
-        x = randn(stream, (t, d))
-        y = bilstm_layer(x, p)
+        x = randn(stream, (1, t, d))
+        y, _ = bilstm_forward_batched(x, p, keep_cache=False)
         swapped = LstmParams(p.w_bw, p.b_bw, p.w_fw, p.b_fw)
-        y2 = bilstm_layer(x[::-1].copy(), swapped)
-        recon = np.concatenate([y2[::-1, h:], y2[::-1, :h]], axis=1)
+        y2, _ = bilstm_forward_batched(x[:, ::-1].copy(), swapped, keep_cache=False)
+        recon = np.concatenate([y2[:, ::-1, h:], y2[:, ::-1, :h]], axis=2)
         assert np.abs(recon - y).max() < 1e-12
 
     def test_empty_sequence_raises(self):
@@ -465,7 +430,7 @@ class TestBilstm:
             b_bw=np.zeros(8),
         )
         with pytest.raises(EmptySequenceError):
-            bilstm_layer(np.zeros((0, 3)), p)
+            bilstm_forward_batched(np.zeros((1, 0, 3)), p)
 
 
 def _random_lstm(stream, d, h, scale=0.5):
@@ -554,6 +519,16 @@ class TestBilstmBatched:
         assert y.dtype == dtype and np.isfinite(y).all()
         assert np.abs(y).max() > 0.7  # saturated, not zeroed
         assert all(np.isfinite(c).all() for c in cotangents)
+
+    @pytest.mark.parametrize("shape", [(2, 6, 4), (1, 5, 4), (2, 5, 3), (2, 5, 5), (5, 4)])
+    def test_backward_rejects_a_cotangent_of_another_shape(self, shape):
+        """A cotangent that is not [B, T, 2H] would read misaligned steps or
+        broadcast over the batch or a direction's half; it is refused,
+        naming both shapes."""
+        stream = Stream(423)
+        _, cache = bilstm_forward_batched(randn(stream, (2, 5, 3)), _random_lstm(stream, 3, 2))
+        with pytest.raises(ShapeError, match=re.escape(f"{shape} does not match output (2, 5, 4)")):
+            bilstm_backward_batched(cache, np.zeros(shape))
 
     def test_blocked_backward_matches_reference(self):
         """Across several backward blocks, ending in a partial one, the

@@ -15,7 +15,7 @@ from avse.errors import (
     NumericError,
     ShapeError,
 )
-from avse.model.config import scaled_config, tiny_config
+from avse.model.config import tiny_config
 from avse.model.network import enhance
 from avse.model.params import init_parameters
 from avse.prng import Stream
@@ -24,7 +24,7 @@ from avse.training.loss import si_sdr_loss_vjp
 from avse.training.loop import train_scenes
 from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
 
-from helpers import fd_grad, load_from_pipe, rel_err, traced_peak
+from helpers import fd_grad, load_from_pipe, rel_err, scaled_config, traced_peak
 
 
 def _zeros_like(params):
