@@ -233,6 +233,16 @@ class TestEncodeAudio:
         y = encode_audio(randn(Stream(31), (500,)), params, config)
         assert y.min() >= 0.0
 
+    def test_relu_clamps_negatives(self):
+        """enc.w = 0: each channel is ReLU of its bias, exactly."""
+        config = tiny_config()
+        params = init_parameters(config, 1)
+        params["enc.w"] = np.zeros_like(params["enc.w"])
+        params["enc.b"] = np.resize([-2.0, 0.0, 3.0], config.enc_channels)
+        y = encode_audio(randn(Stream(31), (500,)), params, config)
+        expected = np.resize([0.0, 0.0, 3.0], config.enc_channels)[:, None]
+        assert np.array_equal(y, np.broadcast_to(expected, y.shape))
+
 
 class TestVisualForward:
     def test_one_embedding_per_frame(self):
@@ -306,6 +316,18 @@ class TestFuse:
         params["fusion.w"] = w2
         y2 = fuse(a, v, params, config)
         assert np.allclose(y2, np.maximum(v.T, 0.0), atol=1e-12)
+
+    def test_relu_clamps_negatives(self):
+        """fusion.w = 0: each channel is ReLU of its bias, exactly."""
+        config = tiny_config()
+        params = init_parameters(config, 0)
+        params["fusion.w"] = np.zeros_like(params["fusion.w"])
+        params["fusion.b"] = np.resize([-2.0, 0.0, 3.0], config.fusion_channels)
+        a = np.abs(randn(Stream(37), (config.enc_channels, 6)))
+        v = randn(Stream(38), (6, config.visual_embed))
+        y = fuse(a, v, params, config)
+        expected = np.resize([0.0, 0.0, 3.0], config.fusion_channels)[:, None]
+        assert np.array_equal(y, np.broadcast_to(expected, y.shape))
 
     def test_empty_time_axis_raises(self):
         config = tiny_config()
@@ -388,6 +410,16 @@ class TestMaskHead:
     1/2 + 1/2 tanh(z/2) (see ops/rnn.py): it saturates to exactly 0 and 1
     without a floating-point warning, keeps the dtype, and keeps its
     relative accuracy where it tends to 0."""
+
+    def test_saturates_without_overflow(self):
+        """+-800 overflows a naive exp in float64; the mask still hits
+        exactly 0 and 1."""
+        config = tiny_config()
+        pattern = np.resize([-800.0, 800.0, 0.0], config.enc_channels)
+        with np.errstate(over="raise"):
+            mask = _mask_of_bias(config, np.float64, pattern)
+        expected = np.resize([0.0, 1.0, 0.5], config.enc_channels)[:, None]
+        assert np.array_equal(mask, np.broadcast_to(expected, mask.shape))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_extremes_saturate_raise_nothing_and_keep_dtype(self, dtype):
