@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from avse.errors import ShapeError
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.model.network import (
@@ -156,6 +157,8 @@ def _fuse_bwd(cache, params, config, g_f, grads):
 
 def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> ModelParams:
     """Parameter cotangents of <g_out, enhance(wave, frames)>."""
+    if g_out.shape != (cache["t"],):
+        raise ShapeError(f"cotangent shape {g_out.shape} does not match output {(cache['t'],)}")
     grads = {}
     am = cache["am"]
     t_pad_frames = am.shape[1]

@@ -10,6 +10,15 @@ head; mask applied to the encoded audio; transposed-convolution decoder.
 Each stage comes in a cached flavor, ``*_fwd``, returning the
 intermediates the backward pass needs; the public functions discard the
 cache.  Gradients live in ``avse.model.grad``.
+
+Each fact about an input is checked once: what a command reads by the
+file readers and ``ModelConfig.check_frames``, the rest by the ops (rank,
+channels, feature width, an extent under the kernel).  A stage checks
+only what no op would catch: ``pad_to_hop`` a wave its padding would
+lift to the kernel's length, ``visual_forward`` a second channel that
+``frames[:, 0]`` would drop, ``fuse`` each width where its convolution
+sees only their sum, and ``segment_time``, ``overlap_add`` and
+``apply_mask`` shapes that NumPy would broadcast or truncate.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from avse.errors import EmptySequenceError, InputTooShortError, ShapeError
+from avse.errors import InputTooShortError, ShapeError
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.ops.conv import conv1d, conv3d, conv_transpose1d
@@ -32,13 +41,6 @@ def encode_audio(wave: np.ndarray, params: ModelParams, config: ModelConfig) -> 
 
 
 def encode_audio_fwd(wave, params, config):
-    if wave.ndim != 1:
-        raise ShapeError(f"waveform must be 1-D, got shape {wave.shape}")
-    if wave.shape[0] < config.enc_kernel:
-        raise InputTooShortError(
-            f"waveform length {wave.shape[0]} is shorter than the encoder "
-            f"kernel {config.enc_kernel}"
-        )
     pre = conv1d(wave[None], params["enc.w"], params["enc.b"], stride=config.enc_stride)
     return np.maximum(pre, 0), {"wave": wave, "pre": pre}
 
@@ -86,8 +88,6 @@ def visual_forward(frames: np.ndarray, params: ModelParams, config: ModelConfig)
 def visual_forward_fwd(frames, params, config):
     if frames.ndim != 4 or frames.shape[1] != 1:
         raise ShapeError(f"frames must be [F, 1, H, W], got shape {frames.shape}")
-    if frames.shape[0] < 1:
-        raise EmptySequenceError("frame sequence is empty")
     x = frames[:, 0][None]  # [1, F, H, W]
     pad = tuple(k // 2 for k in config.vfn_front_kernel)
     pre_front = conv3d(
@@ -209,12 +209,8 @@ def separator_forward(fused: np.ndarray, params: ModelParams, config: ModelConfi
 
 
 def separator_forward_fwd(fused, params, config, keep_cache=True):
-    if fused.ndim != 2 or fused.shape[0] != config.fusion_channels:
-        raise ShapeError(
-            f"separator input must be [{config.fusion_channels}, T_a], got {fused.shape}"
-        )
+    chunks = segment_time(fused, config.chunk_hop)  # [Q, P, C]; checks the rank
     t_a = fused.shape[1]
-    chunks = segment_time(fused, config.chunk_hop)  # [Q, P, C]
     units = []
     # Rebinding chunks drops each path's input as soon as the next path
     # has its own (unless a cache keeps it).
@@ -250,10 +246,6 @@ def apply_mask(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def decode_audio(masked: np.ndarray, params: ModelParams, config: ModelConfig) -> np.ndarray:
     """Masked features [N, T_a] -> waveform [(T_a - 1) * S + K]."""
-    if masked.ndim != 2 or masked.shape[0] != config.enc_channels:
-        raise ShapeError(
-            f"decoder input must be [{config.enc_channels}, T_a], got {masked.shape}"
-        )
     out = conv_transpose1d(masked, params["dec.w"], params["dec.b"], stride=config.enc_stride)
     return out[0]
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from avse.errors import ConfigError, ShapeError
 
+GROUP_NORM_EPS = 1e-5  # added to every group's variance
+
 
 def _update(ufunc: np.ufunc, a: np.ndarray, b) -> np.ndarray:
     """ufunc(a, b), written into a when that keeps the result dtype.
@@ -68,7 +70,7 @@ def _pooled_axes(ndim: int, keep_axes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _group_norm_stats(
-    x: np.ndarray, groups: int, eps: float, keep_axes: tuple[int, ...]
+    x: np.ndarray, groups: int, keep_axes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (xhat, inv_std) in the grouped layout of _grouped; xhat is
     a new array."""
@@ -77,7 +79,7 @@ def _group_norm_stats(
     mu = xg.mean(axis=axes, keepdims=True)
     d = xg - mu
     var = (d * d).mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
     return _update(np.multiply, d, inv), inv
 
 
@@ -100,7 +102,6 @@ def group_norm(
     groups: int,
     gamma: np.ndarray,
     beta: np.ndarray,
-    eps: float = 1e-5,
     *,
     keep_axes: tuple[int, ...] = (),
 ) -> np.ndarray:
@@ -112,7 +113,7 @@ def group_norm(
     normalization over the whole tensor.
     """
     _check_group_norm(x, groups, gamma, beta, keep_axes)
-    xhat, _ = _group_norm_stats(x, groups, eps, keep_axes)
+    xhat, _ = _group_norm_stats(x, groups, keep_axes)
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     y = _update(np.multiply, xhat.reshape(x.shape), gamma.reshape(per_channel))
     return _update(np.add, y, beta.reshape(per_channel))
@@ -124,7 +125,6 @@ def group_norm_vjp(
     gamma: np.ndarray,
     beta: np.ndarray,
     gy: np.ndarray,
-    eps: float = 1e-5,
     *,
     keep_axes: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,7 +132,7 @@ def group_norm_vjp(
     if gy.shape != x.shape:
         raise ShapeError(f"cotangent shape {gy.shape} does not match input {x.shape}")
     _check_group_norm(x, groups, gamma, beta, keep_axes)
-    xh, inv = _group_norm_stats(x, groups, eps, keep_axes)
+    xh, inv = _group_norm_stats(x, groups, keep_axes)
     positions = tuple(range(1, x.ndim))
     ggamma = (gy * xh.reshape(x.shape)).sum(axis=positions)
     gbeta = gy.sum(axis=positions)

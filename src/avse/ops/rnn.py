@@ -141,20 +141,20 @@ def _blas_threads() -> int:
     return _cpu_count()
 
 
-def _by_direction(run, split: bool) -> list:
+def _by_direction(run, split: bool) -> None:
     """run(slice(0, 2)) on this thread; or, split, run(slice(0, 1)) here
     while a worker thread started for this call runs run(slice(1, 2)) in a
     copy of this thread's context (so np.errstate holds there too).
-    Returns the results in direction order, after the worker has ended,
-    also when this thread's direction raised; re-raises the worker's
-    exception here."""
+    Returns after the worker has ended, also when this thread's direction
+    raised; re-raises the worker's exception here."""
     if not split:
-        return [run(slice(0, 2))]
+        run(slice(0, 2))
+        return
     # Leaving the block joins the worker, which writes into the caller's arrays.
     with ThreadPoolExecutor(1, thread_name_prefix="avse-bilstm") as worker:
         job = worker.submit(contextvars.copy_context().run, run, slice(1, 2))
-        mine = run(slice(0, 1))
-    return [mine, job.result()]
+        run(slice(0, 1))
+    job.result()
 
 
 def _forward_steps(dirs: slice, x, w_t, y, gates, cells) -> None:

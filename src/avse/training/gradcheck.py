@@ -1,17 +1,17 @@
 """End-to-end gradient verification against central finite differences.
 
-Runs the miniature configuration in 64-bit: analytic parameter
-gradients of the SI-SDR loss through the full enhance pipeline are
-compared with (L(p + h) - L(p - h)) / 2h at h = 1e-5 on a seeded sample
-of entries drawn from every named tensor.  Healthy runs report errors
-around 1e-6; anything near 1e-3 indicates a broken backward pass.
+Runs the given configuration in 64-bit: analytic parameter gradients
+of the SI-SDR loss through the full enhance pipeline are compared with
+(L(p + h) - L(p - h)) / 2h at h = 1e-5 on a seeded sample of entries
+drawn from every named tensor.  Healthy runs report errors around 1e-6;
+anything near 1e-3 indicates a broken backward pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from avse.model.config import ModelConfig, tiny_config
+from avse.model.config import ModelConfig
 from avse.model.grad import enhance_bwd, enhance_fwd
 from avse.model.params import init_parameters
 from avse.prng import Stream
@@ -30,10 +30,8 @@ _SUB_TARGET = 2
 _SUB_PICK = 3
 
 
-def grad_check(config: ModelConfig | None = None, seed: int = 0) -> float:
+def grad_check(config: ModelConfig, seed: int) -> float:
     """Worst relative error over the sampled parameter entries."""
-    if config is None:
-        config = tiny_config()
     root = Stream(seed)
     t = 64
     h, w = config.frame_hw

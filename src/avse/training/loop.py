@@ -72,6 +72,11 @@ def train_scenes(
     mix_stream = root.spawn(_SUB_MIX)
     prepared = []
     for scene in scenes:
+        if scene.target.shape[0] < config.enc_kernel:
+            raise DataError(
+                f"scene {scene.id}: target length {scene.target.shape[0]} is shorter "
+                f"than the encoder kernel {config.enc_kernel}"
+            )
         mixture = mix_scene(
             scene.target,
             scene.interferer,
@@ -130,8 +135,7 @@ def train(
     entries: list[ManifestEntry],
     epochs: int,
     seed: int,
-    lr: float = 1e-3,
 ) -> tuple[Checkpoint, list[dict]]:
     """Train from manifest entries (files on disk)."""
     scenes = [load_scene(entry, config) for entry in entries]
-    return train_scenes(config, scenes, epochs, seed, lr=lr)
+    return train_scenes(config, scenes, epochs, seed)

@@ -439,6 +439,41 @@ class TestFrameValidation:
         assert re.search(_BAD_FRAME_MESSAGES[kind], err)
 
 
+class TestTrainShortScene:
+    def test_exits_two_naming_the_scene_before_any_step(self, tmp_path, capsys, monkeypatch):
+        """A scene shorter than the encoder kernel is refused while the
+        scenes are mixed, before the first step, naming it and both lengths."""
+        from avse.training import loop
+
+        steps, forward = [], loop.enhance_fwd
+
+        def counted(*args):
+            steps.append(args[0].shape)
+            return forward(*args)
+
+        monkeypatch.setattr(loop, "enhance_fwd", counted)
+        lines = []
+        for i, n in enumerate((8000, 8000, 10)):
+            scene = synth_scene(i, 0.5, tiny_config())
+            save_wav(tmp_path / f"{i}_t.wav", scene.target[:n], scene.sample_rate_hz)
+            save_wav(tmp_path / f"{i}_i.wav", scene.interferer[:n], scene.sample_rate_hz)
+            write_tensor(tmp_path / f"{i}_f.avst", scene.frames)
+            lines.append(json.dumps({
+                "id": f"scene{n}_{i}", "target_path": f"{i}_t.wav",
+                "interferer_path": f"{i}_i.wav", "frames_path": f"{i}_f.avst", "snr_db": 0.0,
+            }))
+        (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(tiny_config().to_json(), encoding="utf-8")
+        code = cli.main(["train", "--data", str(tmp_path), "--config", str(cfg),
+                         "--epochs", "1", "--out", str(tmp_path / "m.avck")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scene scene10_2" in err and "length 10" in err and "kernel 16" in err
+        assert steps == []
+        assert not (tmp_path / "m.avck").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> train -> mix -> enhance -> evaluate, all through the CLI.

@@ -5,10 +5,13 @@ Per-op tolerance is 1e-4 and end-to-end is 1e-3; both comfortably above
 the ~1e-7..1e-6 errors a correct backward pass produces at step 1e-5.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from avse.data.synth import synth_scene
+from avse.errors import ShapeError
 from avse.model.config import tiny_config
 from avse.model.grad import enhance_bwd, enhance_fwd
 from avse.model.params import init_parameters
@@ -227,13 +230,13 @@ class TestPerOpFiniteDifferences:
 
 class TestEndToEnd:
     def test_tiny_model_matches_finite_differences(self):
-        assert grad_check(seed=0) < END_TO_END_TOL
+        assert grad_check(tiny_config(), seed=0) < END_TO_END_TOL
 
     def test_same_seed_repeats_identically(self):
-        assert grad_check(seed=7) == grad_check(seed=7)
+        assert grad_check(tiny_config(), seed=7) == grad_check(tiny_config(), seed=7)
 
     def test_different_seeds_sample_differently(self):
-        values = {grad_check(seed=s) for s in range(3)}
+        values = {grad_check(tiny_config(), seed=s) for s in range(3)}
         assert len(values) > 1
 
     def test_every_tensor_is_sampled(self, monkeypatch):
@@ -251,7 +254,7 @@ class TestEndToEnd:
                 return grads
 
             monkeypatch.setattr(gradcheck, "enhance_bwd", corrupted)
-            assert grad_check(seed=i % 5) > END_TO_END_TOL, name
+            assert grad_check(tiny_config(), seed=i % 5) > END_TO_END_TOL, name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cotangents_own_exactly_their_memory(self, dtype):
@@ -274,3 +277,19 @@ class TestEndToEnd:
                 g = g.base
             bases[id(g)] = g
         assert sum(b.nbytes for b in bases.values()) == sum(p.nbytes for p in params.values())
+
+    @pytest.mark.parametrize("shape", [(), (1,), (65,), (63,), (64, 1)])
+    def test_cotangent_of_the_wrong_shape_is_refused(self, shape):
+        """A cotangent that is not [T] raises ShapeError naming both shapes.
+        () and (1,) used to broadcast over all T samples and return the
+        cotangents of the output's sum."""
+        config = tiny_config()
+        params = init_parameters(config, 0)
+        stream = Stream(64)
+        h, w = config.frame_hw
+        out, cache = enhance_fwd(
+            randn(stream, (64,)), randn(stream, (2, 1, h, w)), params, config
+        )
+        assert out.shape == (64,)
+        with pytest.raises(ShapeError, match=re.escape(f"{shape} does not match output (64,)")):
+            enhance_bwd(cache, params, config, np.ones(shape))

@@ -478,6 +478,50 @@ class TestDecodeAudio:
         assert np.array_equal(y, np.zeros_like(y))
 
 
+@pytest.fixture(scope="module", params=["tiny", "default"])
+def stage_model(request):
+    config = {"tiny": tiny_config, "default": default_config}[request.param]()
+    return config, init_parameters(config, 0)
+
+
+class TestStageInputsReachTheOpChecks:
+    """The encoder, VisualFeatNet, separator and decoder leave these
+    checks to the ops below them; each input is still refused, with the
+    class the ops raise."""
+
+    @pytest.mark.parametrize("shape", [(2, 100), ()], ids=["2-D", "0-D"])
+    def test_encoder_rank(self, stage_model, shape):
+        config, params = stage_model
+        with pytest.raises(ShapeError):
+            encode_audio(np.zeros(shape), params, config)
+
+    def test_encoder_one_sample_short_of_the_kernel(self, stage_model):
+        config, params = stage_model
+        with pytest.raises(InputTooShortError):
+            encode_audio(np.zeros(config.enc_kernel - 1), params, config)
+
+    def test_visual_without_frames(self, stage_model):
+        config, params = stage_model
+        with pytest.raises(ShapeError):
+            visual_forward(np.zeros((0, 1, *config.frame_hw)), params, config)
+
+    @pytest.mark.parametrize("kind", ["1-D", "3-D", "C-1", "C+1"])
+    def test_separator(self, stage_model, kind):
+        config, params = stage_model
+        c = config.fusion_channels
+        shape = {"1-D": (c,), "3-D": (c, 3, 1), "C-1": (c - 1, 3), "C+1": (c + 1, 3)}[kind]
+        with pytest.raises(ShapeError):
+            separator_forward(np.zeros(shape), params, config)
+
+    @pytest.mark.parametrize("kind", ["1-D", "3-D", "N+1"])
+    def test_decoder(self, stage_model, kind):
+        config, params = stage_model
+        n = config.enc_channels
+        shape = {"1-D": (n,), "3-D": (n, 3, 1), "N+1": (n + 1, 3)}[kind]
+        with pytest.raises(ShapeError):
+            decode_audio(np.zeros(shape), params, config)
+
+
 class TestEnhance:
     @pytest.mark.parametrize("t", [16, 1000, 16000, 16007])
     def test_length_preserved(self, t):

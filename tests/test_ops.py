@@ -597,25 +597,31 @@ class TestBilstmBatched:
         """np.errstate(all="raise") set on the calling thread raises inside
         the worker's direction, and the error reaches the caller."""
 
+        out = {}
+
         def run(dirs):
-            return np.divide(np.ones(2), 0.0) if dirs.start == 1 else None
+            if dirs.start == 1:
+                out[1] = np.divide(np.ones(2), 0.0)
 
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             rnn._by_direction(run, True)
+        assert out == {}
         with np.errstate(divide="ignore"):
-            assert np.isinf(rnn._by_direction(run, True)[1]).all()
+            rnn._by_direction(run, True)
+        assert np.isinf(out[1]).all()
 
     def test_split_runs_the_reversed_direction_on_the_worker(self):
         threads = {}
 
         def run(dirs):
-            threads[dirs.start] = threading.get_ident()
-            return dirs
+            threads[dirs.start] = (dirs, threading.get_ident())
 
-        assert rnn._by_direction(run, False) == [slice(0, 2)]
-        assert threads == {0: threading.get_ident()}
-        assert rnn._by_direction(run, True) == [slice(0, 1), slice(1, 2)]
-        assert threads[0] == threading.get_ident() != threads[1]
+        assert rnn._by_direction(run, False) is None
+        assert threads == {0: (slice(0, 2), threading.get_ident())}
+        assert rnn._by_direction(run, True) is None
+        (mine, here), (theirs, worker) = threads[0], threads[1]
+        assert (mine, theirs) == (slice(0, 1), slice(1, 2))
+        assert here == threading.get_ident() != worker
 
     def test_worker_exception_reaches_the_caller(self):
         done = []

@@ -18,23 +18,26 @@ default-config float32 ``network.enhance`` call under ``tracemalloc``
 and reports that call's peak, the memory figure a change to the
 inference path cites.
 
-Each checkout's line states how many CPUs its subprocess's affinity set
-held and the BLAS thread variable it saw.  They decide which BiLSTM
-schedule the run covered (``avse.ops.rnn.split_directions``): with two
-CPUs per BLAS thread, a checkout that splits the directions runs the
-default config's inference BiLSTMs on two threads, and its training
-ones and all of the tiny config's still on one; otherwise every BiLSTM
-runs on one thread.  Run with
-``OPENBLAS_NUM_THREADS=1`` on two or more CPUs to cover the split, and
-under ``taskset -c 0`` to cover the one-thread schedule.
+Each tree is dumped twice, with one BLAS thread set in its child's
+environment, to cover both BiLSTM schedules
+(``avse.ops.rnn.split_directions``).  The first child keeps the affinity
+set it was launched with: on two or more CPUs, a checkout that splits
+the directions runs the default config's inference BiLSTMs on two
+threads, and its training ones and all of the tiny config's still on
+one.  The second child pins itself to one CPU of that set, so every
+BiLSTM runs on one thread.  Each schedule gets its own table and its own
+count line.  With one CPU in the affinity set, both children would run
+the one-thread schedule, so only the pinned one runs and the output says
+that the split schedule was not covered.  Each checkout's line states
+how many CPUs its child's affinity set held.
 
 Every array's worst deviation is printed relative to that array's
 largest entry, and the exit code is 1 if any exceeds ``--tol`` (default
-0, meaning bit-identical).  A cotangent whose largest entry is below
-NEAR_ZERO_EPS machine epsilons of the largest cotangent of its run is
-rounding noise, not a value (``dec.b``'s is a sum of the loss gradient, which has zero
-mean): it is listed apart, against that run-wide scale, and does not
-decide the exit code.
+0, meaning bit-identical) under either schedule.  A cotangent whose
+largest entry is below NEAR_ZERO_EPS machine epsilons of the largest
+cotangent of its run is rounding noise, not a value (``dec.b``'s is a
+sum of the loss gradient, which has zero mean): it is listed apart,
+against that run-wide scale, and does not decide the exit code.
 """
 
 from __future__ import annotations
@@ -117,13 +120,23 @@ def checkpoint_bytes(config, params, state, prefix: str) -> dict[str, np.ndarray
                 for p in (saved, resaved)}
 
 
-def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
+# One BLAS thread in every child, under each vendor's variable.
+ONE_BLAS_THREAD = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"), "1"
+)
+
+
+def run_tree(tree: Path, out_path: Path, pin: bool) -> dict[str, np.ndarray]:
+    """Dump ``tree`` in a child process, pinned to one CPU if ``pin``."""
     src = tree / "src"
     if not (src / "avse").is_dir():
         raise SystemExit(f"{tree} has no src/avse")
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **ONE_BLAS_THREAD)
     code = (
-        "import os, sys, avse; sys.path.insert(0, sys.argv[1])\n"
+        "import os, sys\n"
+        "if sys.argv[4] == 'pin':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import avse; sys.path.insert(0, sys.argv[1])\n"
         "if not avse.__file__.startswith(sys.argv[2]):\n"
         "    raise SystemExit(f'imported {avse.__file__}, not {sys.argv[2]}')\n"
         "import equiv; peak = equiv.dump(sys.argv[3])\n"
@@ -131,12 +144,12 @@ def run_tree(tree: Path, out_path: Path) -> dict[str, np.ndarray]:
     )
     here = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
-        [sys.executable, "-c", code, here, str(src.resolve()), str(out_path)],
+        [sys.executable, "-c", code, here, str(src.resolve()), str(out_path),
+         "pin" if pin else "keep"],
         env=env, check=True, stdout=subprocess.PIPE, text=True,
     )
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     cpus, peak = proc.stdout.split()[-2:]
-    print(f"{tree}: ran with {cpus} CPUs in its affinity set, OPENBLAS_NUM_THREADS {blas}; "
+    print(f"{tree}: ran with {cpus} CPUs in its affinity set, one BLAS thread; "
           f"default float32 enhance of {SECONDS:g} s peaked at {int(peak) / 2**20:.1f} MiB "
           f"(tracemalloc)")
     with np.load(out_path) as z:
@@ -188,12 +201,20 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=0.0,
                     help="largest allowed deviation relative to each array's largest entry")
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = run_tree(args.parent, Path(tmp) / "parent.npz")
-        change = run_tree(args.change, Path(tmp) / "change.npz")
-    over = compare(parent, change, args.tol)
-    print(f"{len(parent)} arrays, {over} over tolerance {args.tol:g}")
-    return 1 if over else 0
+    schedules = [("split", False), ("one-thread", True)]
+    if len(os.sched_getaffinity(0)) < 2:
+        print("one CPU in the affinity set: the split schedule was not covered")
+        schedules = schedules[1:]
+    failed = False
+    for name, pin in schedules:
+        print(f"== {name} schedule ==")
+        with tempfile.TemporaryDirectory() as tmp:
+            parent = run_tree(args.parent, Path(tmp) / "parent.npz", pin)
+            change = run_tree(args.change, Path(tmp) / "change.npz", pin)
+        over = compare(parent, change, args.tol)
+        print(f"{name} schedule: {len(parent)} arrays, {over} over tolerance {args.tol:g}")
+        failed |= over > 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
