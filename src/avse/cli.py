@@ -201,7 +201,7 @@ def _cmd_evaluate(args) -> int:
     else:
         reports.append(evaluate_pair(clean, enhanced, pair_id=clean.stem))
     aggregate = write_report(args.report, reports)
-    print(aggregate.to_json())
+    print(json.dumps(aggregate))
     return EXIT_OK
 
 

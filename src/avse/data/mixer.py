@@ -41,7 +41,7 @@ def _loop_with_crossfade(x: np.ndarray, length: int, xfade: int) -> np.ndarray:
 
 
 def fit_interferer(
-    interferer: np.ndarray, length: int, seed: int = 0, sample_rate_hz: int = 16000
+    interferer: np.ndarray, length: int, seed: int = 0, *, sample_rate_hz: int
 ) -> np.ndarray:
     """Loop or trim the interferer to exactly ``length`` samples."""
     t_i = interferer.shape[0]
@@ -58,7 +58,8 @@ def mix_scene(
     interferer: np.ndarray,
     snr_db: float,
     seed: int = 0,
-    sample_rate_hz: int = 16000,
+    *,
+    sample_rate_hz: int,
 ) -> np.ndarray:
     """Returns target + g * fitted interferer with the requested SNR in dB.
 
@@ -76,7 +77,7 @@ def mix_scene(
         raise DegenerateSignalError("target has zero energy")
     if interferer.shape[0] < 1 or not np.any(interferer):
         raise DegenerateSignalError("interferer has zero energy")
-    fitted = fit_interferer(interferer, target.shape[0], seed, sample_rate_hz)
+    fitted = fit_interferer(interferer, target.shape[0], seed, sample_rate_hz=sample_rate_hz)
     p_i = float((fitted * fitted).mean())
     if p_i <= 0.0:
         raise DegenerateSignalError("interferer has zero energy over the mixed region")

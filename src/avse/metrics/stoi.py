@@ -19,12 +19,12 @@ envelopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from avse.errors import InsufficientSignalError, ShapeError
-from avse.metrics.resample import resample
+from avse.errors import ConfigError, InsufficientSignalError, ShapeError
 
 FS = 10000  # analysis rate, Hz
 FRAME_LEN = 256
@@ -35,6 +35,9 @@ FIRST_CENTER_HZ = 150.0
 SEGMENT_FRAMES = 30
 DYN_RANGE_DB = 40.0
 BETA_DB = -15.0  # clip threshold: 1 + 10^(-BETA/20)
+# Rates whose reduced ratio to FS needs more phases than this are outside
+# the intended use (16 kHz, 48 kHz and similar audio rates).
+_MAX_FACTOR = 1000
 
 _EPS = np.finfo(np.float64).eps
 _CLIP = 1.0 + 10.0 ** (-BETA_DB / 20.0)
@@ -64,6 +67,33 @@ def third_octave_bands() -> list[BandDefinition]:
 
 
 _BANDS = third_octave_bands()
+
+
+def _resample(x: np.ndarray, fs_hz: int) -> np.ndarray:
+    """Polyphase-resample float64 ``x`` from ``fs_hz`` to FS.
+
+    The rational factors are reduced from the integer rates; the output
+    has ceil(T * up / down) samples.
+    """
+    if fs_hz <= 0:
+        raise ConfigError(f"sample rates must be positive, got {fs_hz} -> {FS}")
+    if int(fs_hz) != fs_hz:
+        raise ConfigError(
+            f"sample rates must be integers for a rational ratio, got {fs_hz} -> {FS}"
+        )
+    fs_hz = int(fs_hz)
+    g = gcd(fs_hz, FS)
+    up, down = FS // g, fs_hz // g
+    if max(up, down) > _MAX_FACTOR:
+        raise ConfigError(
+            f"ratio {FS}/{fs_hz} reduces to {up}/{down}; factors above "
+            f"{_MAX_FACTOR} are unsupported"
+        )
+    # Imported on first use: scipy.signal takes most of a second to import,
+    # and a pair already at FS never needs it.
+    from scipy.signal import resample_poly
+
+    return resample_poly(x, up, down)
 
 
 def _frames(x: np.ndarray) -> np.ndarray:
@@ -103,8 +133,7 @@ def stoi(ref: np.ndarray, est: np.ndarray, fs_hz: int) -> float:
     if ref.shape != est.shape or ref.ndim != 1:
         raise ShapeError(f"signals must be equal-length 1-D, got {ref.shape} and {est.shape}")
     if fs_hz != FS:
-        ref = resample(ref, fs_hz, FS)
-        est = resample(est, fs_hz, FS)
+        ref, est = _resample(ref, fs_hz), _resample(est, fs_hz)
     x, y = _band_envelopes(_remove_silent_frames(np.stack([ref, est])))  # clean, degraded
     m = x.shape[1]
     if m < SEGMENT_FRAMES:

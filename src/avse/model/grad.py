@@ -32,8 +32,8 @@ from avse.ops.rnn import bilstm_backward_batched
 
 def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig):
     """Forward pass retaining intermediates; returns (waveform [T], cache)."""
-    t = wave.shape[0]
     padded = pad_to_hop(wave, config)
+    t = wave.shape[0]
     a, enc_cache = encode_audio_fwd(padded, params, config)
     v, vis_cache = visual_forward_fwd(frames, params, config)
     f, fuse_cache = fuse_fwd(a, v, params, config)

@@ -14,8 +14,9 @@ cache.  Gradients live in ``avse.model.grad``.
 Each fact about an input is checked once: what a command reads by the
 file readers and ``ModelConfig.check_frames``, the rest by the ops (rank,
 channels, feature width, an extent under the kernel).  A stage checks
-only what no op would catch: ``pad_to_hop`` a wave its padding would
-lift to the kernel's length, ``visual_forward`` a second channel that
+only what no op would catch: ``pad_to_hop`` a wave that is not 1-D,
+whose length it reads first, and one its padding would lift to the
+kernel's length, ``visual_forward`` a second channel that
 ``frames[:, 0]`` would drop, ``fuse`` each width where its convolution
 sees only their sum, and ``segment_time``, ``overlap_add`` and
 ``apply_mask`` shapes that NumPy would broadcast or truncate.
@@ -252,6 +253,8 @@ def decode_audio(masked: np.ndarray, params: ModelParams, config: ModelConfig) -
 
 def pad_to_hop(wave: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Right-pad with zeros so the decoder output covers the whole input."""
+    if wave.ndim != 1:
+        raise ShapeError(f"waveform must be 1-D [T], got shape {wave.shape}")
     t = wave.shape[0]
     if t < config.enc_kernel:
         raise InputTooShortError(
@@ -269,8 +272,8 @@ def enhance(
     config: ModelConfig,
 ) -> np.ndarray:
     """Full pipeline; output has exactly the input's length."""
-    t = wave.shape[0]
     padded = pad_to_hop(wave, config)
+    t = wave.shape[0]
     a = encode_audio(padded, params, config)
     v = visual_forward(frames, params, config)
     f = fuse(a, v, params, config)

@@ -119,7 +119,7 @@ def train_scenes(
             grads["dec.b"][...] = 0.0
             adam_step(params, grads, state)
             losses.append(loss)
-            sisdrs.append(si_sdr(target.astype(np.float64), out.astype(np.float64)))
+            sisdrs.append(si_sdr(target, out))
         logs.append(
             {
                 "epoch": epoch,

@@ -182,7 +182,10 @@ def golden_inputs():
     returns (config, scene, mixture, parameters)."""
     config = tiny_config()
     scene = synth_scene(GOLDEN_SCENE, GOLDEN_SECONDS, config)
-    mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=GOLDEN_SCENE)
+    mixture = mix_scene(
+        scene.target, scene.interferer, scene.snr_db, seed=GOLDEN_SCENE,
+        sample_rate_hz=scene.sample_rate_hz,
+    )
     return config, scene, mixture, init_parameters(config, GOLDEN_SEED, dtype=np.float64)
 
 

@@ -302,7 +302,7 @@ def test_criterion_07_mixer_snr_law():
     interferer = _speechlike(941)
     worst_snr_err = 0.0
     for snr in (-7.5, 0.0, 3.25, 18.0):
-        mix = mix_scene(target, interferer, snr)
+        mix = mix_scene(target, interferer, snr, sample_rate_hz=16000)
         scaled = mix - target
         achieved = 10.0 * np.log10((target**2).sum() / (scaled**2).sum())
         worst_snr_err = max(worst_snr_err, abs(achieved - snr))
@@ -312,7 +312,7 @@ def test_criterion_07_mixer_snr_law():
     white = Stream(942).normal(n)
     worst_sisdr_err = 0.0
     for s in (-5.0, 0.0, 10.0):
-        got = si_sdr(am_sine, mix_scene(am_sine, white, s))
+        got = si_sdr(am_sine, mix_scene(am_sine, white, s, sample_rate_hz=16000))
         worst_sisdr_err = max(worst_sisdr_err, abs(got - s))
     ok = worst_snr_err < 1e-6 and worst_sisdr_err <= 0.5
     _verdict(

@@ -241,13 +241,13 @@ class TestMixScene:
         """Equal-power signals at 0 dB must use gain exactly 1: mixing a
         signal with its own negation cancels bit-exactly."""
         target = randn(Stream(81), (2000,))
-        mix = mix_scene(target, -target, 0.0)
+        mix = mix_scene(target, -target, 0.0, sample_rate_hz=16000)
         assert np.array_equal(mix, np.zeros_like(mix))
 
     def test_tenth_gain_at_twenty_db(self):
         target = randn(Stream(82), (2000,))
         interferer = -target  # equal power bit-exactly
-        mix = mix_scene(target, interferer, 20.0)
+        mix = mix_scene(target, interferer, 20.0, sample_rate_hz=16000)
         recovered_gain = (mix - target) / interferer
         assert np.allclose(recovered_gain, 0.1, atol=1e-13)
 
@@ -256,7 +256,7 @@ class TestMixScene:
         target = randn(Stream(83), (4000,))
         interferer = randn(Stream(84), (4000,))
         for snr in (-7.5, 0.0, 3.25, 18.0):
-            mix = mix_scene(target, interferer, snr)
+            mix = mix_scene(target, interferer, snr, sample_rate_hz=16000)
             scaled = mix - target
             got = 10.0 * np.log10((target**2).mean() / (scaled**2).mean())
             assert abs(got - snr) < 1e-6
@@ -268,13 +268,13 @@ class TestMixScene:
         t = np.arange(16000) / 16000.0
         target = np.sin(2 * np.pi * 220.0 * t) * (0.6 + 0.4 * np.sin(2 * np.pi * 3.0 * t))
         noise = Stream(85).normal(len(target))
-        mix = mix_scene(target, noise, snr)
+        mix = mix_scene(target, noise, snr, sample_rate_hz=16000)
         assert abs(si_sdr(target, mix) - snr) < 0.5
 
     def test_short_interferer_loops_to_target_length(self):
         target = randn(Stream(86), (3200,))
         interferer = randn(Stream(87), (700,))
-        mix = mix_scene(target, interferer, 5.0)
+        mix = mix_scene(target, interferer, 5.0, sample_rate_hz=16000)
         assert mix.shape == target.shape
         scaled = mix - target
         got = 10.0 * np.log10((target**2).mean() / (scaled**2).mean())
@@ -283,9 +283,9 @@ class TestMixScene:
     def test_long_interferer_trim_is_seeded(self):
         target = randn(Stream(88), (800,))
         interferer = randn(Stream(89), (5000,))
-        a = mix_scene(target, interferer, 0.0, seed=3)
-        b = mix_scene(target, interferer, 0.0, seed=3)
-        c = mix_scene(target, interferer, 0.0, seed=4)
+        a = mix_scene(target, interferer, 0.0, seed=3, sample_rate_hz=16000)
+        b = mix_scene(target, interferer, 0.0, seed=3, sample_rate_hz=16000)
+        c = mix_scene(target, interferer, 0.0, seed=4, sample_rate_hz=16000)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -311,9 +311,9 @@ class TestMixScene:
     def test_zero_energy_inputs_rejected(self):
         target = randn(Stream(91), (100,))
         with pytest.raises(DegenerateSignalError):
-            mix_scene(np.zeros(100), target, 0.0)
+            mix_scene(np.zeros(100), target, 0.0, sample_rate_hz=16000)
         with pytest.raises(DegenerateSignalError):
-            mix_scene(target, np.zeros(100), 0.0)
+            mix_scene(target, np.zeros(100), 0.0, sample_rate_hz=16000)
 
 
 class TestSynthScene:

@@ -1,5 +1,5 @@
-"""Metric contracts: SI-SDR algebra, rational resampling, the
-intelligibility pipeline, and batch reports.
+"""Metric contracts: SI-SDR algebra, STOI's rational resampling to
+10 kHz, the intelligibility pipeline, and batch reports.
 
 The 0 dB noise score is a frozen oracle: the value was produced by this
 pipeline on a fixed seeded signal and pinned, so any later change to the
@@ -19,10 +19,9 @@ from avse.errors import (
     InsufficientSignalError,
     ShapeError,
 )
-from avse.metrics.report import MetricReport, evaluate_pair, write_report
-from avse.metrics.resample import resample
+from avse.metrics.report import evaluate_pair, write_report
 from avse.metrics.sisdr import si_sdr
-from avse.metrics.stoi import stoi, third_octave_bands
+from avse.metrics.stoi import _resample, stoi, third_octave_bands
 from avse.data.wavio import save_wav
 from avse.prng import Stream
 
@@ -102,20 +101,22 @@ class TestSiSdr:
 
 
 class TestResample:
+    """STOI's resampler from the signal's rate to its 10 kHz analysis rate."""
+
     def test_dc_preserved(self):
-        y = resample(np.full(1600, 0.7), 16000, 10000)
+        y = _resample(np.full(1600, 0.7), 16000)
         interior = y[100:-100]
         assert np.abs(interior - 0.7).max() < 1e-3
 
     def test_length_law(self):
-        assert resample(np.zeros(800), 16000, 10000).shape == (500,)
-        assert resample(np.zeros(16000), 16000, 10000).shape == (10000,)
+        assert _resample(np.zeros(800), 16000).shape == (500,)
+        assert _resample(np.zeros(16000), 16000).shape == (10000,)
 
     def test_sine_amplitude_preserved(self):
         """100 Hz tone keeps its amplitude within 1% away from the edges."""
         t = np.arange(16000) / 16000.0
         x = np.sin(2 * np.pi * 100.0 * t)
-        y = resample(x, 16000, 10000)
+        y = _resample(x, 16000)
         ty = np.arange(len(y)) / 10000.0
         interior = slice(500, len(y) - 500)
         basis_s = np.sin(2 * np.pi * 100.0 * ty[interior])
@@ -125,19 +126,14 @@ class TestResample:
         )
         assert abs(amp - 1.0) < 0.01
 
-    def test_identity_when_rates_match(self):
-        x = Stream(68).normal(1000)
-        y = resample(x, 16000, 16000)
-        assert np.array_equal(x, y)
-        assert y is not x  # a copy, not a view
-
     def test_huge_ratio_terms_rejected(self):
+        """16001 Hz reduces to 10000/16001 against 10 kHz, past the 1000 cap."""
         with pytest.raises(ConfigError):
-            resample(np.zeros(100), 16000, 9999)
+            stoi(np.zeros(100), np.zeros(100), 16001)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ConfigError):
-            resample(np.zeros(100), 0, 10000)
+            stoi(np.zeros(100), np.zeros(100), 0)
 
 
 class TestThirdOctaveBands:
@@ -242,10 +238,11 @@ class TestEvaluatePair:
         wave = 0.2 * _speechlike_reference(3)
         path = tmp_path / "same.wav"
         save_wav(path, wave, 16000)
-        report = evaluate_pair(path, path)
-        assert report.sisdr_db == 60.0
-        assert abs(report.stoi - 1.0) < 1e-9
-        assert set(json.loads(report.to_json())) == {"id", "sisdr_db", "stoi"}
+        report = evaluate_pair(path, path, "same")
+        assert list(report) == ["id", "sisdr_db", "stoi"]
+        assert report["id"] == "same"
+        assert report["sisdr_db"] == 60.0
+        assert abs(report["stoi"] - 1.0) < 1e-9
 
     def test_rate_mismatch_raises(self, tmp_path):
         wave = 0.2 * _speechlike_reference(4, dur=1.0)
@@ -254,7 +251,7 @@ class TestEvaluatePair:
         save_wav(a, wave, 16000)
         save_wav(b, wave, 8000)
         with pytest.raises(DataError):
-            evaluate_pair(a, b)
+            evaluate_pair(a, b, "a")
 
     def test_lengths_trimmed_to_shorter(self, tmp_path):
         wave = 0.2 * _speechlike_reference(5)
@@ -262,28 +259,63 @@ class TestEvaluatePair:
         b = tmp_path / "b.wav"
         save_wav(a, wave, 16000)
         save_wav(b, wave[:-1000], 16000)
-        report = evaluate_pair(a, b)
-        assert report.sisdr_db == 60.0  # trimmed tails compare equal
+        report = evaluate_pair(a, b, "a")
+        assert report["sisdr_db"] == 60.0  # trimmed tails compare equal
 
-    def test_report_round_trip(self):
-        for report in (
-            MetricReport(id="x", sisdr_db=3.25, stoi=0.8125),
-            MetricReport(id="y", sisdr_db=-1.5, stoi=0.5),
-        ):
-            assert MetricReport(**json.loads(report.to_json())) == report
+    def test_report_round_trip(self, tmp_path):
+        """A scored pair reads back from the report file unchanged."""
+        wave = 0.2 * _speechlike_reference(6, dur=1.0)
+        a = tmp_path / "a.wav"
+        b = tmp_path / "b.wav"
+        save_wav(a, wave, 16000)
+        save_wav(b, wave + 0.01 * Stream(69).normal(len(wave)), 16000)
+        record = evaluate_pair(a, b, "x")
+        path = tmp_path / "report.jsonl"
+        write_report(path, [record])
+        assert json.loads(path.read_text().splitlines()[0]) == record
 
 
 class TestWriteReport:
     def test_sorted_lines_plus_aggregate(self, tmp_path):
-        reports = [
-            MetricReport(id="b", sisdr_db=2.0, stoi=0.5),
-            MetricReport(id="a", sisdr_db=4.0, stoi=0.7),
+        records = [
+            {"id": "b", "sisdr_db": 2.0, "stoi": 0.5},
+            {"id": "a", "sisdr_db": 4.0, "stoi": 0.7},
         ]
         path = tmp_path / "report.jsonl"
-        agg = write_report(path, reports)
+        agg = write_report(path, records)
         lines = path.read_text().strip().splitlines()
-        parsed = [MetricReport(**json.loads(line)) for line in lines]
-        ids = [r.id for r in parsed]
+        ids = [json.loads(line)["id"] for line in lines]
         assert ids == ["a", "b", "aggregate"]
-        assert agg.sisdr_db == 3.0
-        assert abs(agg.stoi - 0.6) < 1e-12
+        assert agg["sisdr_db"] == 3.0
+        assert abs(agg["stoi"] - 0.6) < 1e-12
+
+    def test_line_format_is_pinned(self, tmp_path):
+        """Keys in the order id, sisdr_db, stoi; json.dumps's default
+        separators and float repr; pairs sorted by id, then the aggregate
+        of their means; one newline after every line."""
+        wave = 0.2 * _speechlike_reference(7, dur=1.0)
+        clean = tmp_path / "clean.wav"
+        save_wav(clean, wave, 16000)
+        records = []
+        for pair_id, seed in (("b", 70), ("a", 71)):
+            noisy = tmp_path / f"{pair_id}.wav"
+            save_wav(noisy, wave + 0.05 * Stream(seed).normal(len(wave)), 16000)
+            records.append(evaluate_pair(clean, noisy, pair_id=pair_id))
+        path = tmp_path / "report.jsonl"
+        write_report(path, records)
+        text = path.read_text(encoding="utf-8")
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [line["id"] for line in lines] == ["a", "b", "aggregate"]
+        a, b, agg = lines
+        for key in ("sisdr_db", "stoi"):
+            assert agg[key] == (a[key] + b[key]) / 2
+        assert text == "".join(
+            f'{{"id": "{v["id"]}", "sisdr_db": {v["sisdr_db"]!r}, "stoi": {v["stoi"]!r}}}\n'
+            for v in lines
+        )
+
+    def test_empty_list_refused(self, tmp_path):
+        path = tmp_path / "report.jsonl"
+        with pytest.raises(DataError):
+            write_report(path, [])
+        assert not path.exists()

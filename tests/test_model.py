@@ -10,6 +10,7 @@ import pytest
 
 from avse.errors import ConfigError, InputTooShortError, ShapeError
 from avse.model.config import ModelConfig, default_config, tiny_config
+from avse.model.grad import enhance_fwd
 from avse.model.network import (
     apply_mask,
     decode_audio,
@@ -539,6 +540,16 @@ class TestEnhance:
         a = enhance(wave, frames, params, config)
         b = enhance(wave, frames, params, config)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(), (2, 100)], ids=["0-D", "2-D"])
+    @pytest.mark.parametrize("run", [enhance, enhance_fwd], ids=["enhance", "enhance_fwd"])
+    def test_wave_that_is_not_1d_is_refused_naming_its_shape(self, run, shape):
+        """``pad_to_hop`` checks the rank before it reads the length."""
+        config = tiny_config()
+        params = init_parameters(config, 0)
+        frames = randn(Stream(49), (2, 1, 16, 16))
+        with pytest.raises(ShapeError, match=re.escape(f"shape {shape}")):
+            run(np.zeros(shape), frames, params, config)
 
     def test_open_mask_with_adjoint_decoder_correlates(self):
         """Mask head biased hard positive (mask ~ 1) and the decoder set to

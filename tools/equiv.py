@@ -10,10 +10,12 @@ in float32 and float64.  A run dumps ``network.enhance``,
 ``grad.enhance_bwd`` under the negative SI-SDR loss, plus that loss and
 the ``si_sdr`` and ``stoi`` scores of the ``enhance_fwd`` output
 against the scene target.  For the tiny float32 run it also dumps the
-bytes ``save_checkpoint`` writes for those parameters with the moments
-of one Adam step on those cotangents, and the bytes after one
-``load_checkpoint`` -> ``save_checkpoint`` round trip, each stored as
-float64 values: 386 arrays.  After the dumps it runs one more
+``stoi`` score of both signals repeated x3 sample by sample and scored
+at 48 kHz (STOI resamples by 5/24 there, by 5/8 from 16 kHz), the bytes
+``save_checkpoint`` writes for those parameters with the moments of one
+Adam step on those cotangents, and the bytes after one
+``load_checkpoint`` -> ``save_checkpoint`` round trip, the bytes stored
+as float64 values: 387 arrays.  After the dumps it runs one more
 default-config float32 ``network.enhance`` call under ``tracemalloc``
 and reports that call's peak, the memory figure a change to the
 inference path cites.
@@ -73,7 +75,8 @@ def dump(out_path: str) -> int:
     arrays = {}
     for cname, config in (("tiny", tiny_config()), ("default", default_config())):
         scene = synth_scene(SCENE, SECONDS, config)
-        mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE)
+        mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE,
+                            sample_rate_hz=config.sample_rate_hz)
         for dtype in (np.float32, np.float64):
             run = f"{cname}/{np.dtype(dtype).name}"
             params = init_parameters(config, PARAM_SEED, dtype=dtype)
@@ -89,6 +92,8 @@ def dump(out_path: str) -> int:
             for name, g in grads.items():
                 arrays[f"{run}/grad/{name}"] = g
             if run == "tiny/float32":
+                arrays[f"{run}/stoi_48k"] = np.float64(stoi(
+                    np.repeat(scene.target, 3), np.repeat(out, 3), 3 * config.sample_rate_hz))
                 state = init_optimizer(params)
                 adam_step(params, grads, state)
                 arrays.update(checkpoint_bytes(config, params, state, f"{run}/checkpoint"))
@@ -96,7 +101,8 @@ def dump(out_path: str) -> int:
 
     config = default_config()
     scene = synth_scene(SCENE, SECONDS, config)
-    mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE)
+    mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE,
+                        sample_rate_hz=config.sample_rate_hz)
     params = init_parameters(config, PARAM_SEED, dtype=np.float32)
     wave, frames = mixture.astype(np.float32), scene.frames.astype(np.float32)
     tracemalloc.start()
