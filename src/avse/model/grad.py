@@ -30,14 +30,17 @@ from avse.ops.dense import group_norm_vjp, linear_vjp, resize_linear_time_vjp
 from avse.ops.rnn import bilstm_backward_batched
 
 
-def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig):
-    """Forward pass retaining intermediates; returns (waveform [T], cache)."""
+def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig, work=None):
+    """Forward pass retaining intermediates; returns (waveform [T], cache).
+
+    With a workspace dict (see ``ops/rnn.py``) the separator writes its
+    BiLSTM records, outputs and projections into that dict's arrays."""
     padded = pad_to_hop(wave, config)
     t = wave.shape[0]
     a, enc_cache = encode_audio_fwd(padded, params, config)
     v, vis_cache = visual_forward_fwd(frames, params, config)
     f, fuse_cache = fuse_fwd(a, v, params, config)
-    m, sep_cache = separator_forward_fwd(f, params, config)
+    m, sep_cache = separator_forward_fwd(f, params, config, work=work)
     am = apply_mask(a, m)
     dec_out = conv_transpose1d(
         am, params["dec.w"], params["dec.b"], stride=config.enc_stride
@@ -101,7 +104,7 @@ def _visual_bwd(cache, params, config, g_v, grads):
     grads["vfn.front.b"] = gb
 
 
-def _sep_path_bwd(cache, params, g_out, grads):
+def _sep_path_bwd(cache, params, g_out, grads, work):
     base = cache["base"]
     g_norm_in, ggamma, gbeta = group_norm_vjp(
         np.moveaxis(cache["proj"], -1, 0),
@@ -118,7 +121,7 @@ def _sep_path_bwd(cache, params, g_out, grads):
     )
     grads[f"{base}.proj.w"] = gw
     grads[f"{base}.proj.b"] = gb
-    g_x, gw_fw, gb_fw, gw_bw, gb_bw = bilstm_backward_batched(cache["lstm_cache"], g_y)
+    g_x, gw_fw, gb_fw, gw_bw, gb_bw = bilstm_backward_batched(cache["lstm_cache"], g_y, work)
     grads[f"{base}.lstm.w_fw"] = gw_fw
     grads[f"{base}.lstm.b_fw"] = gb_fw
     grads[f"{base}.lstm.w_bw"] = gw_bw
@@ -127,7 +130,7 @@ def _sep_path_bwd(cache, params, g_out, grads):
     return g_x + g_out
 
 
-def _separator_bwd(cache, params, config, g_mask, grads):
+def _separator_bwd(cache, params, config, g_mask, grads, work):
     mask = cache["mask"]
     g_pre = g_mask * mask * (1.0 - mask)
     g_mask_in, gw, gb = conv1d_vjp(cache["mask_in"], params["mask.w"], params["mask.b"], g_pre)
@@ -138,8 +141,12 @@ def _separator_bwd(cache, params, config, g_mask, grads):
     g_mask_in[:, hop : cache["n_chunks"] * hop] /= 2
     g_chunks = segment_time(g_mask_in, hop)
     for unit in reversed(cache["units"]):
-        g_swapped = _sep_path_bwd(unit["inter"], params, g_chunks.transpose(1, 0, 2), grads)
-        g_chunks = _sep_path_bwd(unit["intra"], params, g_swapped.transpose(1, 0, 2), grads)
+        g_swapped = _sep_path_bwd(
+            unit["inter"], params, g_chunks.transpose(1, 0, 2), grads, work
+        )
+        g_chunks = _sep_path_bwd(
+            unit["intra"], params, g_swapped.transpose(1, 0, 2), grads, work
+        )
     # Adjoint of segment_time: sum the overlapping halves, drop the padding.
     return _fold(g_chunks)[:, : cache["t_a"]]
 
@@ -155,8 +162,11 @@ def _fuse_bwd(cache, params, config, g_f, grads):
     return g_a, g_v
 
 
-def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> ModelParams:
-    """Parameter cotangents of <g_out, enhance(wave, frames)>."""
+def enhance_bwd(
+    cache, params: ModelParams, config: ModelConfig, g_out, work=None
+) -> ModelParams:
+    """Parameter cotangents of <g_out, enhance(wave, frames)>; the BiLSTM
+    backward takes its block buffers from ``work`` when one is given."""
     if g_out.shape != (cache["t"],):
         raise ShapeError(f"cotangent shape {g_out.shape} does not match output {(cache['t'],)}")
     grads = {}
@@ -172,7 +182,7 @@ def enhance_bwd(cache, params: ModelParams, config: ModelConfig, g_out) -> Model
     grads["dec.b"] = gb
     g_a = g_am * cache["m"]
     g_mask = g_am * cache["a"]
-    g_f = _separator_bwd(cache["sep"], params, config, g_mask, grads)
+    g_f = _separator_bwd(cache["sep"], params, config, g_mask, grads, work)
     g_a2, g_v = _fuse_bwd(cache["fuse"], params, config, g_f, grads)
     g_a = g_a + g_a2
     _visual_bwd(cache["vis"], params, config, g_v, grads)

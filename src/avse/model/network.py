@@ -32,7 +32,7 @@ from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.ops.conv import conv1d, conv3d, conv_transpose1d
 from avse.ops.dense import _update, group_norm, linear, resize_linear_time
-from avse.ops.rnn import LstmParams, bilstm_forward_batched
+from avse.ops.rnn import LstmParams, bilstm_forward_batched, work_array
 
 
 def encode_audio(wave: np.ndarray, params: ModelParams, config: ModelConfig) -> np.ndarray:
@@ -187,13 +187,19 @@ def _unit_lstm(params: ModelParams, base: str) -> LstmParams:
     )
 
 
-def _sep_path_fwd(x, params, base, keep_cache=True):
+def _sep_path_fwd(x, params, base, keep_cache=True, work=None):
     """One dual-path half: BiLSTM over axis 1 of [B, T, C], projection,
     chunk-wide norm, residual.  Caller transposes to pick the axis; any
-    strided view will do."""
+    strided view will do.  With a workspace (see ``ops/rnn.py``) the
+    LSTM output, its records and the projection are written into the
+    arrays of ``work[base]``."""
     lstm = _unit_lstm(params, base)
-    y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache)
-    proj = linear(y, params[f"{base}.proj.w"], params[f"{base}.proj.b"])
+    path = None if work is None else work.setdefault(base, {})
+    y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache, path)
+    w = params[f"{base}.proj.w"]
+    proj_shape = y.shape[:-1] + (w.shape[0],)
+    proj_out = work_array(path, "proj", proj_shape, np.result_type(y, w))
+    proj = linear(y, w, params[f"{base}.proj.b"], out=proj_out)
     cache = {"lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base} if keep_cache else None
     del y, lstm_cache  # without a cache, the LSTM output dies here
     # Layer norm: one mean and variance over all of [C, Q, P] (one group),
@@ -209,16 +215,20 @@ def separator_forward(fused: np.ndarray, params: ModelParams, config: ModelConfi
     return m
 
 
-def separator_forward_fwd(fused, params, config, keep_cache=True):
+def separator_forward_fwd(fused, params, config, keep_cache=True, work=None):
     chunks = segment_time(fused, config.chunk_hop)  # [Q, P, C]; checks the rank
     t_a = fused.shape[1]
     units = []
     # Rebinding chunks drops each path's input as soon as the next path
     # has its own (unless a cache keeps it).
     for u in range(config.sep_units):
-        chunks, intra_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.intra", keep_cache)
+        chunks, intra_cache = _sep_path_fwd(
+            chunks, params, f"sep.u{u}.intra", keep_cache, work
+        )
         chunks = chunks.transpose(1, 0, 2)  # [P, Q, C], a view
-        chunks, inter_cache = _sep_path_fwd(chunks, params, f"sep.u{u}.inter", keep_cache)
+        chunks, inter_cache = _sep_path_fwd(
+            chunks, params, f"sep.u{u}.inter", keep_cache, work
+        )
         chunks = chunks.transpose(1, 0, 2)
         units.append({"intra": intra_cache, "inter": inter_cache})
     mask_in = overlap_add(chunks, t_a)

@@ -26,8 +26,13 @@ def _update(ufunc: np.ufunc, a: np.ndarray, b) -> np.ndarray:
     return ufunc(a, b)
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Affine map over the trailing axis: y[..., o] = sum_i x[..., i] w[o, i] + b[o]."""
+def linear(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Affine map over the trailing axis: y[..., o] = sum_i x[..., i] w[o, i] + b[o].
+
+    ``out``, a C-contiguous array of the product's shape and dtype, takes
+    the result in place of a new array (unless the bias promotes it)."""
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be [D_out, D_in], got shape {w.shape}")
     if x.shape[-1] != w.shape[1]:
@@ -36,7 +41,9 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
         )
     if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {b.shape} does not match {w.shape[0]} output features")
-    y = x.reshape(-1, w.shape[1]) @ w.T
+    if out is not None:
+        out = out.reshape(-1, w.shape[0])
+    y = np.matmul(x.reshape(-1, w.shape[1]), w.T, out=out)
     if b is not None:
         y = _update(np.add, y, b)
     return y.reshape(x.shape[:-1] + (w.shape[0],))

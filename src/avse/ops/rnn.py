@@ -23,12 +23,34 @@ all the same: 1/2 + 1/2 tanh(z/2) loses relative accuracy where the
 sigmoid saturates towards 0, and the mask is held to 1e-15 of the
 logistic formula for |z| <= 30.
 
+The forward keeps the step rows of a block of steps in one buffer of at
+most ROW_BLOCK_BYTES (512 KB; 2 MB per thread raised the default
+config's 1 s inference peak by 1.8 MiB): each block's inputs come in
+with one copy per direction, each step writes its new h straight into
+the next step's row, and the block's outputs go to y with one copy per
+direction.  That replaces four row copies a step, most of a tiny-config
+step's Python calls.
+
 The gate and cell records are kept in step order, gate-major and packed
 ([T, 4, 2, B, H], blocks i, f, o, g).  The backward pass walks the same
 steps in reverse, in blocks of as many steps as fit BLOCK_BYTES of gate
 records: each block's coefficients, step rows [x_t, 1, h_prev], gate
 cotangents and its input and weight cotangent products stay in cache,
 and nothing sized by all T steps is built besides the output.
+
+Training passes a workspace, a plain dict that lives for one
+``train_scenes`` call (``training/loop.py``).  Each separator path's
+forward writes its output, gate records and cell records into the
+buffers of its own entry (``work[base]``, next to its projection), and
+every backward takes its block buffers, which live only for the call,
+from entries that all paths share.  Step n + 1 writes over step n's
+arrays after step n's backward has read them, so no second set of
+records is alive and nothing is freed and faulted in again.  A buffer
+is flat and serves any shape that fits: a shorter scene uses its head,
+and only a longer one (or another dtype) replaces it, so a run's
+buffers grow to its longest scene and stay there.  Only where the
+results go changes, so the bits do not.  Callers without a workspace
+(inference, the gradient check) get new arrays on every call.
 
 The two directions share no state, so in inference each may run on
 its own core.  The time loop is one function over a slice of the
@@ -72,6 +94,7 @@ config's 0.4 MFLOP and 1.7 kFLOP.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,6 +106,7 @@ from avse.errors import EmptySequenceError, ShapeError
 # Packed gate blocks: i, f, o, g from the stored i, f, g, o.
 PACKED = [0, 1, 3, 2]
 BLOCK_BYTES = 1 << 21
+ROW_BLOCK_BYTES = 1 << 19  # see the module docstring
 SPLIT_FLOPS = 1 << 23  # 8.4 MFLOP; see the module docstring
 
 
@@ -157,6 +181,20 @@ def _by_direction(run, split: bool) -> None:
     job.result()
 
 
+def work_array(work: dict | None, key: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array of this shape and dtype.  With a
+    workspace it is a view of the first elements of ``work[key]``, a flat
+    buffer that is replaced by one of this size when it is shorter or of
+    another dtype."""
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = work[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _forward_steps(dirs: slice, x, w_t, y, gates, cells) -> None:
     """The time loop for the directions in ``dirs``: fills their parts of
     y, gates and cells and touches nothing of the other direction."""
@@ -167,39 +205,51 @@ def _forward_steps(dirs: slice, x, w_t, y, gates, cells) -> None:
     # every direction reads and writes index s.
     xs = [x, x[:, ::-1]][dirs]
     ys = [y[:, :, :hs], y[:, ::-1, hs:]][dirs]
-    xh = np.zeros((len(xs), nb, d + 1 + hs), dtype=y.dtype)
-    xh[:, :, d] = 1
-    h = xh[:, :, d + 1 :]  # the state is written in place, next to the next input
-    x_rows = list(zip(xh[:, :, :d], xs))
-    y_rows = list(zip(ys, h))
+    # Row j of a block holds step s0 + j's [x_t, 1, h_prev], and the step
+    # writes its state into row j + 1: inputs come in and outputs go out
+    # once a block, and the last row carries the state to the next block.
+    row_bytes = len(xs) * nb * (d + 1 + hs) * y.itemsize
+    k = max(1, min(t, ROW_BLOCK_BYTES // row_bytes))
+    xh = np.empty((len(xs), k + 1, nb, d + 1 + hs), dtype=y.dtype)
+    xh[:, :, :, d] = 1
+    xh[:, 0, :, d + 1 :] = 0
+    rows = list(xh.transpose(1, 0, 2, 3))  # rows[j]: [dirs, B, D+1+H]
+    h_out = [r[:, :, d + 1 :] for r in rows]
     tmp = np.empty((len(xs), nb, hs), dtype=y.dtype)
-    for s in range(t):
-        g = gates[s % len(gates)]
-        c_prev, c = cells[s % len(cells)], cells[(s + 1) % len(cells)]
-        for row, xd in x_rows:
-            row[...] = xd[:, s]
-        np.matmul(xh, w_t, out=g)
-        np.tanh(g, out=g)
-        sig = g[:3]
-        sig *= 0.5
-        sig += 0.5
-        np.multiply(g[1], c_prev, out=c)
-        np.multiply(g[0], g[3], out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        np.multiply(g[2], tmp, out=h)
-        for yd, hd in y_rows:
-            yd[:, s] = hd
+    for s0 in range(0, t, k):
+        n = min(k, t - s0)
+        for xb, xd in zip(xh, xs):
+            xb[:n, :, :d] = xd[:, s0 : s0 + n].transpose(1, 0, 2)
+        for j in range(n):
+            s = s0 + j
+            g = gates[s % len(gates)]
+            c_prev, c = cells[s % len(cells)], cells[(s + 1) % len(cells)]
+            np.matmul(rows[j], w_t, out=g)
+            np.tanh(g, out=g)
+            sig = g[:3]
+            sig *= 0.5
+            sig += 0.5
+            np.multiply(g[1], c_prev, out=c)
+            np.multiply(g[0], g[3], out=tmp)
+            c += tmp
+            np.tanh(c, out=tmp)
+            np.multiply(g[2], tmp, out=h_out[j + 1])
+        for yd, xb in zip(ys, xh):
+            yd[:, s0 : s0 + n] = xb[1 : n + 1, :, d + 1 :].transpose(1, 0, 2)
+        h_out[0][...] = h_out[n]
 
 
 def bilstm_forward_batched(
-    x: np.ndarray, params: LstmParams, keep_cache: bool = True
+    x: np.ndarray, params: LstmParams, keep_cache: bool = True, work: dict | None = None
 ) -> tuple[np.ndarray, dict | None]:
     """Both directions over [B, T, D]; returns ([B, T, 2H], cache).
 
     With keep_cache=False the gate and cell records that only the
     backward pass reads are never stored.  The cache holds the input and
-    the returned output themselves, which must not be written to.
+    the returned output themselves, which must not be written to.  With
+    a ``work`` dict the output and the records are written into its
+    arrays (see the module docstring), so they live until the next call
+    with the same dict.
     """
     if x.ndim != 3:
         raise ShapeError(f"batched BiLSTM input must be [B, T, D], got shape {x.shape}")
@@ -221,11 +271,12 @@ def bilstm_forward_batched(
     # product lands as one [B, H] block per gate and direction.
     w_t = wb.reshape(2, 4, hs, -1)[:, PACKED].transpose(1, 0, 3, 2).copy()
     w_t[:3] *= 0.5
-    y = np.empty((nb, t, 2 * hs), dtype=ct)
+    y = work_array(work, "y", (nb, t, 2 * hs), ct)
     # Records of every step, cell states from the zero state on; without a
     # cache, one gate slab and two alternating cell slabs.
-    gates = np.empty((t if keep_cache else 1, 4, 2, nb, hs), dtype=ct)
-    cells = np.zeros((t + 1 if keep_cache else 2, 2, nb, hs), dtype=ct)
+    gates = work_array(work, "gates", (t if keep_cache else 1, 4, 2, nb, hs), ct)
+    cells = work_array(work, "cells", (t + 1 if keep_cache else 2, 2, nb, hs), ct)
+    cells[0] = 0
     # Only inference splits; see the module docstring.
     split = not keep_cache and split_directions(nb, d, hs)
     _by_direction(lambda dirs: _forward_steps(dirs, x, w_t, y, gates, cells), split)
@@ -235,9 +286,13 @@ def bilstm_forward_batched(
 
 
 def bilstm_backward_batched(
-    cache: dict, gy: np.ndarray
+    cache: dict, gy: np.ndarray, work: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw)."""
+    """Backward through both directions; returns (gx, gw_fw, gb_fw, gw_bw, gb_bw).
+
+    With a ``work`` dict the block buffers are its arrays, which every
+    call shares.
+    """
     x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
     hs = cache["hidden_size"]
     nb, t, d = x.shape
@@ -249,12 +304,12 @@ def bilstm_backward_batched(
     wx = np.ascontiguousarray(wb[:, :, :d])  # [2, 4H, D]
     wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [2, 4H, H]
     k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
-    coef = np.empty((k, 4, 2, nb, hs), dtype=ct)
+    coef = work_array(work, "bwd.coef", (k, 4, 2, nb, hs), ct)
     ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
-    gh = np.empty((k, 2, nb, hs), dtype=ct)  # output cotangent in step order
-    dz = np.empty((2, k, nb, 4 * hs), dtype=ct)
+    gh = work_array(work, "bwd.gh", (k, 2, nb, hs), ct)  # output cotangent in step order
+    dz = work_array(work, "bwd.dz", (2, k, nb, 4 * hs), ct)
     dz_gates = dz.reshape(2, k, nb, 4, hs).transpose(1, 3, 0, 2, 4)  # [k, 4, 2, B, H]
-    xh = np.empty((2, k, nb, d + 1 + hs), dtype=ct)  # step rows [x_t, 1, h_prev]
+    xh = work_array(work, "bwd.xh", (2, k, nb, d + 1 + hs), ct)  # step rows [x_t, 1, h_prev]
     xh[:, :, :, d] = 1
     gx = np.zeros((t, nb, d), dtype=ct)  # time-major; returned as a [B, T, D] view
     gwb = np.zeros_like(wb)

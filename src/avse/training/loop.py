@@ -5,6 +5,14 @@ negative-SI-SDR gradient, clip at global norm 5, apply Adam.  Scene
 order reshuffles every epoch from a seeded stream, mixtures are built
 once up front, and every random choice flows from the single seed, so
 the loss trace is bit-reproducible.
+
+Each ``train_scenes`` call keeps one workspace dict for all its steps:
+the separator's BiLSTM outputs, gate and cell records and projections,
+one set per path, and one set of BiLSTM backward block buffers (see
+``ops/rnn.py``), each as large as the longest scene needs.  A step's
+forward writes into the arrays the previous step's backward has
+finished reading, so a step runs beside no dead copy of them; the
+workspace is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -95,6 +103,7 @@ def train_scenes(
     params = init_parameters(config, seed, dtype=np.float32)
     state = init_optimizer(params, lr=lr)
     shuffle = root.spawn(_SUB_SHUFFLE)
+    work: dict = {}  # written over by each step; see the module docstring
     logs: list[dict] = []
     for epoch in range(epochs):
         order = shuffle.permutation(len(prepared))
@@ -102,13 +111,13 @@ def train_scenes(
         sisdrs = []
         for step, idx in enumerate(order):
             scene_id, mixture, target, frames = prepared[int(idx)]
-            out, cache = enhance_fwd(mixture, frames, params, config)
+            out, cache = enhance_fwd(mixture, frames, params, config, work)
             loss, g_out = si_sdr_loss_vjp(target, out)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, step {step}, scene {scene_id}"
                 )
-            grads = enhance_bwd(cache, params, config, g_out)
+            grads = enhance_bwd(cache, params, config, g_out, work)
             norm = clip_global_norm(grads, MAX_GRAD_NORM)
             if not math.isfinite(norm):
                 raise NumericError(

@@ -1,6 +1,7 @@
 """Shared test utilities: config variants, finite differences, relative
 error, the per-step BiLSTM reference, out-of-place references for the
-dense ops, the pinned golden case and the file-reader probes."""
+dense ops, the pinned golden case, the arrays of a training workspace
+and the file-reader probes."""
 
 import os
 import threading
@@ -196,6 +197,14 @@ def golden_case():
     out, cache = enhance_fwd(mixture, scene.frames, params, config)
     loss, g_out = si_sdr_loss_vjp(scene.target, out)
     return out, loss, enhance_bwd(cache, params, config, g_out)
+
+
+def workspace_arrays(work: dict) -> list[np.ndarray]:
+    """Every array of a training workspace, the per-path entries' too."""
+    arrays = []
+    for value in work.values():
+        arrays.extend(workspace_arrays(value) if isinstance(value, dict) else [value])
+    return arrays
 
 
 def traced_peak(fn, *args):

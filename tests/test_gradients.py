@@ -25,7 +25,7 @@ from avse.prng import Stream
 from avse.training import gradcheck
 from avse.training.gradcheck import grad_check
 
-from helpers import fd_grad, lstm_reference, randn, rel_err
+from helpers import fd_grad, lstm_reference, randn, rel_err, workspace_arrays
 
 PER_OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
@@ -228,6 +228,21 @@ class TestPerOpFiniteDifferences:
             assert rel_err(fd_grad(f, arg), analytic) < PER_OP_TOL
 
 
+def _assert_cotangents_own_their_memory(grads, params):
+    """One cotangent per parameter, with its dtype and shape, and the
+    arrays behind them hold those cotangents and no more: no view keeps a
+    larger work array alive."""
+    assert set(grads) == set(params)
+    for name, p in params.items():
+        assert (grads[name].dtype, grads[name].shape) == (p.dtype, p.shape), name
+    bases = {}
+    for g in grads.values():
+        while g.base is not None:
+            g = g.base
+        bases[id(g)] = g
+    assert sum(b.nbytes for b in bases.values()) == sum(p.nbytes for p in params.values())
+
+
 class TestEndToEnd:
     def test_tiny_model_matches_finite_differences(self):
         assert grad_check(tiny_config(), seed=0) < END_TO_END_TOL
@@ -268,15 +283,23 @@ class TestEndToEnd:
             scene.target.astype(dtype), scene.frames.astype(dtype), params, config
         )
         grads = enhance_bwd(cache, params, config, np.ones_like(out))
-        assert set(grads) == set(params)
-        for name, p in params.items():
-            assert (grads[name].dtype, grads[name].shape) == (p.dtype, p.shape), name
-        bases = {}
-        for g in grads.values():
-            while g.base is not None:
-                g = g.base
-            bases[id(g)] = g
-        assert sum(b.nbytes for b in bases.values()) == sum(p.nbytes for p in params.values())
+        _assert_cotangents_own_their_memory(grads, params)
+
+    def test_cotangents_own_their_memory_after_steps_through_a_workspace(self):
+        """After two steps that write into one workspace, the cotangents
+        still hold their own memory and share none with the workspace."""
+        config = tiny_config()
+        params = init_parameters(config, 0, dtype=np.float32)
+        scene = synth_scene(0, 0.5, config)
+        wave, frames = scene.target.astype(np.float32), scene.frames.astype(np.float32)
+        work = {}
+        for _ in range(2):
+            out, cache = enhance_fwd(wave, frames, params, config, work)
+            grads = enhance_bwd(cache, params, config, np.ones_like(out), work)
+        _assert_cotangents_own_their_memory(grads, params)
+        arrays = workspace_arrays(work)
+        assert arrays
+        assert not any(np.shares_memory(g, a) for g in grads.values() for a in arrays)
 
     @pytest.mark.parametrize("shape", [(), (1,), (65,), (63,), (64, 1)])
     def test_cotangent_of_the_wrong_shape_is_refused(self, shape):

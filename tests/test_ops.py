@@ -561,6 +561,26 @@ class TestBilstmBatched:
             numeric = (loss(plus) - loss(minus)) / (2 * FD_STEP)
             assert rel_err(numeric, float((analytic * v).sum())) < 1e-4, i
 
+    @pytest.mark.parametrize("schedule", ["fused", "split"], indirect=True)
+    def test_blocked_forward_matches_reference(self, schedule):
+        """Across several forward blocks of step rows, ending in a partial
+        one on either schedule (a split thread's rows hold one direction,
+        so its blocks are twice as long), the output with and without a
+        cache matches the per-step reference and the two agree bit for bit."""
+        nb, t, d, h = 40, 10, 3, 256
+        row_bytes = nb * (d + 1 + h) * 8  # float64
+        for dirs in (2, 1):
+            block = rnn.ROW_BLOCK_BYTES // (dirs * row_bytes)
+            assert 1 < block < t and t % block != 0
+        stream = Stream(429)
+        p = _random_lstm(stream, d, h, scale=0.1)
+        x = randn(stream, (nb, t, d))
+        y, _ = bilstm_forward_batched(x, p)
+        y_plain, _ = bilstm_forward_batched(x, p, keep_cache=False)
+        refs = [lstm_reference(x[r], p.w_fw, p.b_fw, p.w_bw, p.b_bw) for r in range(nb)]
+        assert np.abs(y - np.stack(refs)).max() < 1e-12
+        assert np.array_equal(y_plain, y)
+
     def test_transposed_view_input_is_bit_identical(self):
         """A [B, T, D] view of time-major data gives what the same data
         made contiguous gives, output and all five cotangents."""

@@ -15,16 +15,25 @@ from avse.errors import (
     NumericError,
     ShapeError,
 )
-from avse.model.config import tiny_config
+from avse.model.config import default_config, tiny_config
+from avse.model.grad import enhance_bwd, enhance_fwd
 from avse.model.network import enhance
 from avse.model.params import init_parameters
 from avse.prng import Stream
 from avse.training.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from avse.training.loss import si_sdr_loss_vjp
-from avse.training.loop import train_scenes
+from avse.training import loop
+from avse.training.loop import MAX_GRAD_NORM, train_scenes
 from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
 
-from helpers import fd_grad, load_from_pipe, rel_err, scaled_config, traced_peak
+from helpers import (
+    fd_grad,
+    load_from_pipe,
+    rel_err,
+    scaled_config,
+    traced_peak,
+    workspace_arrays,
+)
 
 
 def _zeros_like(params):
@@ -331,3 +340,78 @@ class TestTrainScenes:
         message names the epoch and step."""
         with pytest.raises(NumericError, match=r"epoch \d+, step \d+"):
             train_scenes(tiny_config(), self._scenes(), 30, seed=0, lr=1e18)
+
+
+class TestWorkspace:
+    """Training steps write into one workspace (see ops/rnn.py); that
+    changes where results go and nothing else."""
+
+    # The default config's BiLSTM and projection shapes, so that forward
+    # and backward blocks end partway through the sequence, with two
+    # units sharing the backward's buffers and a smaller visual trunk.
+    DEFAULT_SHAPED = scaled_config(
+        default_config(), sep_units=2, vfn_trunk_channels=(16, 32), vfn_blocks_per_stage=1
+    )
+
+    @staticmethod
+    def _steps(config, lengths, new_work):
+        """The steps of train_scenes on one scene per length, each step
+        through ``new_work()`` or, if that is None, through the previous
+        step's workspace; returns (losses, cotangents, parameters,
+        optimizer state, the intra path's gate record buffer after each
+        step)."""
+        params = init_parameters(config, 1, dtype=np.float32)
+        state = init_optimizer(params)
+        work, losses, cotangents, buffers = {}, [], [], []
+        for i, seconds in enumerate(lengths):
+            scene = synth_scene(i, seconds, config)
+            mixture = (scene.target + scene.interferer).astype(np.float32)
+            if new_work is not None:
+                work = new_work()
+            out, cache = enhance_fwd(mixture, scene.frames.astype(np.float32), params, config, work)
+            loss, g_out = si_sdr_loss_vjp(scene.target.astype(np.float32), out)
+            grads = enhance_bwd(cache, params, config, g_out, work)
+            clip_global_norm(grads, MAX_GRAD_NORM)
+            adam_step(params, grads, state)
+            losses.append(loss)
+            cotangents.append(grads)
+            buffers.append(work and work["sep.u0.intra"]["gates"])
+        return losses, cotangents, params, state, buffers
+
+    @pytest.mark.parametrize("config", [tiny_config(), DEFAULT_SHAPED], ids=["tiny", "default"])
+    def test_reused_workspace_gives_the_bits_of_fresh_ones(self, config):
+        """Steps through one workspace give every loss, cotangent,
+        parameter and moment of the same steps through a new workspace
+        each step, and of the same steps without one (new arrays for
+        every path).  A longer scene replaces the workspace's buffers, and
+        a shorter one, or one as long, writes into them."""
+        lengths = (0.5, 0.7, 0.5, 0.7)
+        losses, cotangents, params, state, buffers = self._steps(config, lengths, None)
+        assert buffers[1] is not buffers[0] and buffers[2] is buffers[1] is buffers[3]
+        for new_work in (dict, lambda: None):
+            want = self._steps(config, lengths, new_work)
+            assert losses == want[0]
+            for step, (got, expected) in enumerate(zip(cotangents, want[1])):
+                for name in expected:
+                    assert np.array_equal(got[name], expected[name]), (step, name)
+            for got, expected in ((params, want[2]), (state.m, want[3].m), (state.v, want[3].v)):
+                for name in expected:
+                    assert np.array_equal(got[name], expected[name]), name
+
+    def test_returned_state_shares_no_memory_with_the_workspace(self, monkeypatch):
+        """Every step of a train_scenes call gets the same workspace, and
+        the parameters and moments it returns share no memory with it."""
+        seen = []
+
+        def spy(mixture, frames, params, config, work):
+            seen.append(work)
+            return enhance_fwd(mixture, frames, params, config, work)
+
+        monkeypatch.setattr(loop, "enhance_fwd", spy)
+        scenes = [synth_scene(s, 0.5, tiny_config()) for s in range(2)]
+        ckpt, _ = train_scenes(tiny_config(), scenes, 1, seed=0)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        arrays = workspace_arrays(seen[0])
+        assert arrays
+        state = [*ckpt.params.values(), *ckpt.optimizer.m.values(), *ckpt.optimizer.v.values()]
+        assert not any(np.shares_memory(a, b) for a in arrays for b in state)
