@@ -161,10 +161,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
-    checkpoint = load_checkpoint(args.model)
-    # Keep only what the forward pass reads, so the Adam moments are freed.
+    # Parameters only: the Adam moments are neither read nor validated.
+    checkpoint = load_checkpoint(args.model, moments=False)
     config, params = checkpoint.config, checkpoint.params
-    del checkpoint
     wave, rate = load_wav(args.audio)
     if rate != config.sample_rate_hz:
         raise DataError(

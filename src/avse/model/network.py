@@ -190,22 +190,41 @@ def _unit_lstm(params: ModelParams, base: str) -> LstmParams:
 def _sep_path_fwd(x, params, base, keep_cache=True, work=None):
     """One dual-path half: BiLSTM over axis 1 of [B, T, C], projection,
     chunk-wide norm, residual.  Caller transposes to pick the axis; any
-    strided view will do.  With a workspace (see ``ops/rnn.py``) the
-    LSTM output, its records and the projection are written into the
-    arrays of ``work[base]``."""
+    strided view will do.
+
+    With a cache and a workspace (see ``ops/rnn.py``) the LSTM output,
+    its records and the projection are written into the arrays of
+    ``work[base]``.  Without a cache every path of a call shares
+    ``work``'s LSTM output buffer ``y``, and writes its projection into
+    ``proj.intra`` or ``proj.inter``, so no path writes the buffer that
+    holds its input.  The norm then centres, scales and shifts the
+    projection in place, and squares the centred values into ``y``,
+    whose values the projection has consumed; the residual is added in
+    place.  Three [B, T, C] arrays are alive at once: the input, ``y``
+    and the projection."""
     lstm = _unit_lstm(params, base)
-    path = None if work is None else work.setdefault(base, {})
+    if keep_cache:
+        path = None if work is None else work.setdefault(base, {})
+        proj_key = "proj"
+    else:
+        path, proj_key = work, "proj." + base.rsplit(".", 1)[-1]  # intra or inter
     y, lstm_cache = bilstm_forward_batched(x, lstm, keep_cache, path)
     w = params[f"{base}.proj.w"]
     proj_shape = y.shape[:-1] + (w.shape[0],)
-    proj_out = work_array(path, "proj", proj_shape, np.result_type(y, w))
+    proj_out = work_array(path, proj_key, proj_shape, np.result_type(y, w))
     proj = linear(y, w, params[f"{base}.proj.b"], out=proj_out)
     cache = {"lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base} if keep_cache else None
-    del y, lstm_cache  # without a cache, the LSTM output dies here
     # Layer norm: one mean and variance over all of [C, Q, P] (one group),
-    # gain and bias per channel.
+    # gain and bias per channel.  The backward reads the cached projection,
+    # so only the forward without a cache normalizes in place.
     gamma, beta = params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"]
-    normed = group_norm(np.moveaxis(proj, -1, 0), 1, gamma, beta)
+    norm_in = np.moveaxis(proj, -1, 0)
+    if keep_cache:
+        normed = group_norm(norm_in, 1, gamma, beta)
+    else:
+        square = work_array(path, "y", proj.shape, proj.dtype)
+        normed = group_norm(norm_in, 1, gamma, beta, out=norm_in,
+                            scratch=np.moveaxis(square, -1, 0))
     return _update(np.add, np.moveaxis(normed, 0, -1), x), cache
 
 
@@ -216,8 +235,14 @@ def separator_forward(fused: np.ndarray, params: ModelParams, config: ModelConfi
 
 
 def separator_forward_fwd(fused, params, config, keep_cache=True, work=None):
+    """The separator, with its cache if ``keep_cache``.  ``work`` is a
+    training workspace for the cached paths; without a cache the call
+    runs its paths in a workspace of its own (see ``_sep_path_fwd``),
+    dropped before the overlap-add."""
     chunks = segment_time(fused, config.chunk_hop)  # [Q, P, C]; checks the rank
     t_a = fused.shape[1]
+    if not keep_cache:
+        work = {}
     units = []
     # Rebinding chunks drops each path's input as soon as the next path
     # has its own (unless a cache keeps it).
@@ -231,6 +256,9 @@ def separator_forward_fwd(fused, params, config, keep_cache=True, work=None):
         )
         chunks = chunks.transpose(1, 0, 2)
         units.append({"intra": intra_cache, "inter": inter_cache})
+    # The last projection buffer stays alive as chunks' base; the other
+    # buffers go now (a training workspace lives on in its caller).
+    del work
     mask_in = overlap_add(chunks, t_a)
     pre = conv1d(mask_in, params["mask.w"], params["mask.b"])
     # One pass in the input's dtype; saturates to 0 and 1 without

@@ -1,11 +1,15 @@
 """Affine, normalization and linear time-resize operations with VJPs.
 
-Every result owns its memory, and no input is ever written.  The affine
-and normalization ops build their result in one array they allocate and
-update it in place, in the same rounded operations, and so to the same
-bits, as the out-of-place formulas; an update whose NumPy result dtype
-differs from the array's (float32 activations with a float64 bias, say)
-allocates instead, so mixed dtypes promote as they always did.
+Every result owns its memory, and no input is written unless the caller
+hands it over: ``linear`` and ``group_norm`` take an ``out=`` array for
+their result (``group_norm``'s may be its input), and ``group_norm`` a
+``scratch=`` array for its squared deviations; the inference separator
+passes buffers it reuses (``model/network.py``).  The affine and normalization ops build their result in one
+array, their own or ``out``, and update it in place, in the same
+rounded operations, and so to the same bits, as the out-of-place
+formulas; an update whose NumPy result dtype differs from the array's
+(float32 activations with a float64 bias, say) allocates instead, so
+mixed dtypes promote as they always did.
 """
 
 from __future__ import annotations
@@ -77,15 +81,21 @@ def _pooled_axes(ndim: int, keep_axes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _group_norm_stats(
-    x: np.ndarray, groups: int, keep_axes: tuple[int, ...]
+    x: np.ndarray,
+    groups: int,
+    keep_axes: tuple[int, ...],
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (xhat, inv_std) in the grouped layout of _grouped; xhat is
-    a new array."""
+    ``out`` (see group_norm) or a new array, and the squared deviations go
+    to ``scratch`` or a new array."""
     xg = _grouped(x, groups)
     axes = _pooled_axes(x.ndim, keep_axes)
     mu = xg.mean(axis=axes, keepdims=True)
-    d = xg - mu
-    var = (d * d).mean(axis=axes, keepdims=True)
+    d = np.subtract(xg, mu, out=None if out is None else _grouped(out, groups))
+    sq = None if scratch is None else _grouped(scratch, groups)
+    var = np.multiply(d, d, out=sq).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
     return _update(np.multiply, d, inv), inv
 
@@ -111,6 +121,8 @@ def group_norm(
     beta: np.ndarray,
     *,
     keep_axes: tuple[int, ...] = (),
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Normalize [C, ...] per channel group, then scale and shift per channel.
 
@@ -118,9 +130,16 @@ def group_norm(
     named in ``keep_axes``; each index along the kept axes gets its own
     statistics.  A single group with nothing kept gives layer
     normalization over the whole tensor.
+
+    ``out``, ``x`` itself or an array of its shape and dtype, takes the
+    result in place of a new array (unless gamma or beta promotes it).
+    ``scratch``, an array of x's shape and dtype laid out in memory as x
+    is, takes the squared deviations and is left holding them.  So laid
+    out, the reductions walk the same order, and the bits are those of
+    the call without them.
     """
     _check_group_norm(x, groups, gamma, beta, keep_axes)
-    xhat, _ = _group_norm_stats(x, groups, keep_axes)
+    xhat, _ = _group_norm_stats(x, groups, keep_axes, out, scratch)
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     y = _update(np.multiply, xhat.reshape(x.shape), gamma.reshape(per_channel))
     return _update(np.add, y, beta.reshape(per_channel))

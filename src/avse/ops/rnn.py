@@ -49,8 +49,13 @@ records is alive and nothing is freed and faulted in again.  A buffer
 is flat and serves any shape that fits: a shorter scene uses its head,
 and only a longer one (or another dtype) replaces it, so a run's
 buffers grow to its longest scene and stay there.  Only where the
-results go changes, so the bits do not.  Callers without a workspace
-(inference, the gradient check) get new arrays on every call.
+results go changes, so the bits do not.  Inference passes a workspace
+too, one per separator call (``model/network.py``): every path of the
+call writes its output into the same buffer, so the output and the step
+slabs are allocated once a call, not once a path.  Callers without a
+workspace (the gradient check) get new arrays on every call.  The
+packed weights are filled in place, block by block; only a forward that
+keeps its cache also builds the stored-order copy its backward reads.
 
 The two directions share no state, so in inference each may run on
 its own core.  The time loop is one function over a slice of the
@@ -265,11 +270,21 @@ def bilstm_forward_batched(
     # One dtype (NumPy's own promotion) keeps every matmul on the BLAS path.
     ct = np.result_type(x.dtype, params.w_fw.dtype)
     x = x.astype(ct, copy=False)
-    w, b = np.stack([params.w_fw, params.w_bw]), np.stack([params.b_fw, params.b_bw])
-    wb = np.concatenate([w[:, :, :d], b[:, :, None], w[:, :, d:]], axis=2).astype(ct, copy=False)
+    if keep_cache:
+        # The backward's products take both directions' weights as stored,
+        # each row [W_x, b, W_h].
+        w, b = np.stack([params.w_fw, params.w_bw]), np.stack([params.b_fw, params.b_bw])
+        wb = np.concatenate([w[:, :, :d], b[:, :, None], w[:, :, d:]], axis=2).astype(ct, copy=False)
     # [4, 2, D+1+H, H], packed i, f, o, g with the sigmoid rows halved: the
-    # product lands as one [B, H] block per gate and direction.
-    w_t = wb.reshape(2, 4, hs, -1)[:, PACKED].transpose(1, 0, 3, 2).copy()
+    # product lands as one [B, H] block per gate and direction.  Filled
+    # block by block, with no stacked or concatenated copy in between.
+    w_t = np.empty((4, 2, d + 1 + hs, hs), dtype=ct)
+    for k, (w_dir, b_dir) in enumerate(((params.w_fw, params.b_fw), (params.w_bw, params.b_bw))):
+        for j, gate in enumerate(PACKED):
+            rows = slice(gate * hs, (gate + 1) * hs)
+            w_t[j, k, :d] = w_dir[rows, :d].T
+            w_t[j, k, d] = b_dir[rows]
+            w_t[j, k, d + 1 :] = w_dir[rows, d:].T
     w_t[:3] *= 0.5
     y = work_array(work, "y", (nb, t, 2 * hs), ct)
     # Records of every step, cell states from the zero state on; without a

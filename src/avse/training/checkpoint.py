@@ -17,11 +17,15 @@ save reproduces the file byte for byte.  Loading reads the open file
 field by field with the bounded reads of ``data.tensorfile``, so a
 length that claims more than the file holds is refused before it sizes
 a buffer, and validates every tensor shape against the shape table
-derived from the embedded config.
+derived from the embedded config.  A parameters-only load
+(``moments=False``, as ``avse enhance`` asks) stops before the optimizer
+section: it neither reads nor validates the moments, two thirds of a
+trained checkpoint's bytes.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -96,7 +100,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(blob)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, *, moments: bool = True) -> Checkpoint:
+    """Config, parameters and, if the file has them and ``moments``, the
+    optimizer state; with ``moments=False`` the optimizer section is left
+    unread and the result has none."""
     label = str(path)
     with open_source(path, CorruptCheckpointError) as fh:
         magic, version, flags, _ = _unpack(fh, "<4sBBH", label, "header")
@@ -116,12 +123,14 @@ def load_checkpoint(path) -> Checkpoint:
         check_tensors(tensors, expected, f"{label}: parameters", CorruptCheckpointError)
         params = {name: tensors[name] for name in expected}
         optimizer = None
-        if flags & _FLAG_OPTIMIZER:
+        if flags & _FLAG_OPTIMIZER and not moments:
+            fh.seek(0, io.SEEK_END)  # open_source refuses bytes left unread
+        elif flags & _FLAG_OPTIMIZER:
             t, lr, beta1, beta2, eps = _unpack(fh, "<Qdddd", label, "optimizer header")
-            moments = _read_named_blocks(fh, 2 * count, label)
+            stored = _read_named_blocks(fh, 2 * count, label)
             shapes = {f"{k}.{name}": s for k in "mv" for name, s in expected.items()}
-            check_tensors(moments, shapes, f"{label}: optimizer moments", CorruptCheckpointError)
-            m = {name: moments[f"m.{name}"] for name in expected}
-            v = {name: moments[f"v.{name}"] for name in expected}
+            check_tensors(stored, shapes, f"{label}: optimizer moments", CorruptCheckpointError)
+            m = {name: stored[f"m.{name}"] for name in expected}
+            v = {name: stored[f"v.{name}"] for name in expected}
             optimizer = OptimizerState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     return Checkpoint(config=config, params=params, optimizer=optimizer)

@@ -20,13 +20,14 @@ from avse.model.network import (
     overlap_add,
     segment_time,
     separator_forward,
+    separator_forward_fwd,
     visual_forward,
     visual_forward_fwd,
 )
 from avse.model.params import check_tensors, count_parameters, init_parameters, parameter_shapes
 from avse.prng import Stream
 
-from helpers import randn, scaled_config
+from helpers import randn, scaled_config, traced_peak
 
 # Exact default-config size; the band check against [4.5e6, 5.7e6] lives
 # in the acceptance suite.
@@ -394,6 +395,46 @@ class TestSeparator:
         finally:
             tracemalloc.stop()
         assert peak <= 4.25 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+
+
+    @pytest.mark.parametrize("seconds", [3.0, 10.0])
+    def test_inference_peak_memory_within_three_reused_chunk_buffers(self, seconds):
+        """Without a cache the paths share one LSTM output buffer and keep
+        one projection buffer per direction; the norm works in place and
+        squares into the LSTM output's buffer.  So a path holds its input,
+        that buffer and its projection: three [Q, P, C] arrays, plus the
+        packed weights and the LSTM's step buffers.  Measured: 3.31 chunk
+        arrays at 3 s and 3.17 at 10 s (4.00 with fresh arrays and the
+        norm's centred copy and its square)."""
+        config = default_config()
+        params = init_parameters(config, 3, dtype=np.float32)
+        t_a = int(seconds * config.sample_rate_hz) // config.enc_stride
+        fused = np.abs(randn(Stream(97), (config.fusion_channels, t_a))).astype(np.float32)
+        chunk_bytes = segment_time(fused, config.chunk_hop).nbytes
+        mask, peak = traced_peak(separator_forward, fused, params, config)
+        assert isinstance(mask, np.ndarray) and mask.shape == fused.shape
+        assert peak <= 3.4 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunk arrays"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["tiny", "default_two_units"])
+    def test_reused_buffers_give_the_cached_forward_bits(self, name, dtype):
+        """The forward without a cache, in its reused buffers and in-place
+        norms, equals the cached forward, whose paths each get arrays of
+        their own, bit for bit; neither writes ``fused``.  Q differs from
+        P, so a buffer laid out for one path's [B, T, C] would not fit the
+        other's."""
+        if name == "tiny":
+            config, t_a = tiny_config(), 37  # Q = 18 chunks of P = 4
+        else:  # Q = 50 chunks of P = 8
+            config, t_a = scaled_config(default_config(), sep_units=2, chunk_len=8), 201
+        params = init_parameters(config, 4, dtype=dtype)
+        fused = np.abs(randn(Stream(98), (config.fusion_channels, t_a))).astype(dtype)
+        before = fused.copy()
+        assert segment_time(fused, config.chunk_hop).shape[0] != config.chunk_len
+        mask = separator_forward(fused, params, config)
+        cached, _ = separator_forward_fwd(fused, params, config, keep_cache=True)
+        assert mask.dtype == cached.dtype and mask.tobytes() == cached.tobytes()
+        assert fused.tobytes() == before.tobytes()
 
 
 def _mask_of_bias(config, dtype, bias):

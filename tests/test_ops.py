@@ -240,6 +240,36 @@ class TestGroupNorm:
             ref = dense.group_norm(x[:, f].reshape(6, 15), 3, gamma, beta)
             assert np.abs(y[:, f].reshape(6, 15) - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("buffers", ["out", "scratch", "out_and_scratch"])
+    @pytest.mark.parametrize("case", ["channel_last_view", "keep_axes"])
+    def test_out_and_scratch_give_the_out_of_place_bits(self, case, buffers, dtype):
+        """``out=x`` normalizes in place and ``scratch`` takes the squared
+        deviations; laid out like x, they give the bits of the call without
+        them.  The channel-last view is the separator's [C, Q, P] view of a
+        [Q, P, C] array, long enough for the reductions' pairwise blocks."""
+        stream = Stream(18)
+        gamma, beta = randn(stream, (6,)).astype(dtype), randn(stream, (6,)).astype(dtype)
+        if case == "channel_last_view":
+            stored = (2.0 + randn(stream, (9, 40, 6))).astype(dtype)  # [Q, P, C]
+            x, groups, kwargs = np.moveaxis(stored, -1, 0), 1, {}
+            scratch = np.moveaxis(np.empty_like(stored), -1, 0)
+        else:
+            x, groups, kwargs = (2.0 + randn(stream, (6, 4, 3, 5))).astype(dtype), 3, {
+                "keep_axes": (1,)}
+            scratch = np.empty_like(x)
+        want = dense.group_norm(x, groups, gamma, beta, **kwargs)
+        if "out" in buffers.split("_and_"):
+            kwargs["out"] = x
+        if "scratch" in buffers:
+            kwargs["scratch"] = scratch
+        got = dense.group_norm(x, groups, gamma, beta, **kwargs)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, x) == ("out" in kwargs)
+        if "out" in kwargs:
+            assert x.tobytes() == want.tobytes()
+
     def test_keep_axes_must_name_position_axes(self):
         for axes in ((0,), (3,), (1, 1)):
             with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
 """Property tests for the file parsers: whatever the bytes, loading a WAV,
-AVST tensor, AVCK checkpoint or JSONL manifest either succeeds or raises
+AVST tensor, AVCK checkpoint (in full, or its parameters only, as
+``avse enhance`` loads it) or JSONL manifest either succeeds or raises
 an AvseError subclass, never a bare Python exception.
 
 Inputs are arbitrary byte strings, truncations of a valid file and bit
@@ -7,6 +8,7 @@ flips of a valid file.  Runs are derandomized, so they are reproducible.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,11 +42,12 @@ def _write_valid(directory):
         "wav": (directory / "a.wav", load_wav),
         "avst": (directory / "a.avst", read_tensor),
         "avck": (directory / "a.avck", load_checkpoint),
+        "avck_params": (directory / "a.avck", partial(load_checkpoint, moments=False)),
         "manifest": (directory / "m.jsonl", load_manifest),
     }
 
 
-FORMATS = ("wav", "avst", "avck", "manifest")
+FORMATS = ("wav", "avst", "avck", "avck_params", "manifest")
 
 
 @pytest.fixture(scope="module")

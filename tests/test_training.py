@@ -225,6 +225,34 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match=f"bad.avck.*'{moment}.dec.b' has shape"):
             load_checkpoint(path)
 
+    def test_parameters_only_load_leaves_the_moments_unread(self, tmp_path):
+        """A parameters-only load returns the full load's parameters and no
+        optimizer state, and does not see a moment section that the full
+        load refuses."""
+        ckpt = self._checkpoint(with_optimizer=True)
+        path = tmp_path / "a.avck"
+        save_checkpoint(path, ckpt)
+        full, params_only = load_checkpoint(path), load_checkpoint(path, moments=False)
+        assert params_only.optimizer is None and full.optimizer is not None
+        assert params_only.config == full.config
+        assert params_only.params.keys() == full.params.keys()
+        assert all(np.array_equal(params_only.params[n], full.params[n]) for n in full.params)
+        ckpt.optimizer.m["dec.b"] = np.zeros(2, dtype=np.float32)
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CorruptCheckpointError, match="'m.dec.b' has shape"):
+            load_checkpoint(path)
+        assert load_checkpoint(path, moments=False).params.keys() == full.params.keys()
+
+    def test_parameters_only_load_still_refuses_trailing_bytes(self, tmp_path):
+        """Without the optimizer flag nothing may follow the parameters,
+        whichever load reads the file."""
+        path = tmp_path / "a.avck"
+        save_checkpoint(path, self._checkpoint(with_optimizer=False))
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        for moments in (True, False):
+            with pytest.raises(CorruptCheckpointError, match="8 trailing bytes"):
+                load_checkpoint(path, moments=moments)
+
     def test_bad_magic_rejected(self, tmp_path):
         ckpt = self._checkpoint(with_optimizer=False)
         path = tmp_path / "bad.avck"
@@ -262,6 +290,17 @@ class TestCheckpoint:
         opt = loaded.optimizer
         arrays = [*loaded.params.values(), *opt.m.values(), *opt.v.values()]
         assert peak <= 1.25 * sum(a.nbytes for a in arrays)
+
+    def test_parameters_only_load_peak_is_the_parameters(self, saved):
+        """The moments, two thirds of the file, are never read into memory."""
+        loaded, peak = traced_peak(lambda p: load_checkpoint(p, moments=False), saved)
+        assert peak <= 1.25 * sum(a.nbytes for a in loaded.params.values())
+
+    def test_parameters_only_load_from_a_pipe(self, saved):
+        piped = load_from_pipe(lambda p: load_checkpoint(p, moments=False), saved.read_bytes())
+        direct = load_checkpoint(saved)
+        assert piped.optimizer is None and piped.config == direct.config
+        assert all(np.array_equal(piped.params[n], direct.params[n]) for n in direct.params)
 
     @pytest.mark.parametrize("field", ["config length", "tensor name length"])
     def test_length_past_the_end_refused_before_any_allocation(self, saved, tmp_path, field):

@@ -19,10 +19,12 @@ as float64 values.  A single step cannot show state that one training
 step leaves for the next, so each tree also runs ``train_scenes`` on
 three scenes of 1, 0.5 and 1 s, for 2 epochs on the tiny config and one
 on the default config (6 and 3 steps), and dumps each step's loss and
-the final parameters and both Adam moments: 935 arrays in all.  After the dumps it runs one more
-default-config float32 ``network.enhance`` call under ``tracemalloc``
-and reports that call's peak, the memory figure a change to the
-inference path cites.
+the final parameters and both Adam moments.  Last come two
+default-config float32 ``network.enhance`` calls under ``tracemalloc``,
+on 1 s and on 10 s of scene 7: the 10 s output is dumped too, because
+only there does the inter-chunk BiLSTM run 400 steps, and both peaks are
+reported, the memory figures a change to the inference path cites.  936
+arrays in all.
 
 Each tree is dumped twice, with one BLAS thread set in its child's
 environment, to cover both BiLSTM schedules
@@ -59,12 +61,14 @@ from pathlib import Path
 import numpy as np
 
 SCENE, PARAM_SEED, SECONDS = 7, 3, 1.0
+LONG_SECONDS = 10.0  # the traced enhance's second length
 NEAR_ZERO_EPS = 1000  # real cotangents here stay above 1e-3 of the largest
 
 
-def dump(out_path: str) -> int:
+def dump(out_path: str) -> list[int]:
     """Write every compared array of this interpreter's ``avse`` to an .npz;
-    returns the tracemalloc peak of one default float32 enhance, in bytes."""
+    returns the tracemalloc peaks of the default float32 enhance at
+    SECONDS and LONG_SECONDS, in bytes."""
     from avse.data.mixer import mix_scene
     from avse.data.synth import synth_scene
     from avse.metrics.sisdr import si_sdr
@@ -103,20 +107,24 @@ def dump(out_path: str) -> int:
                 arrays.update(checkpoint_bytes(config, params, state, f"{run}/checkpoint"))
     arrays.update(training_run("tiny", tiny_config(), (1.0, 0.5, 1.0), epochs=2))
     arrays.update(training_run("default", default_config(), (1.0, 0.5, 1.0), epochs=1))
-    np.savez(out_path, **arrays)
 
     config = default_config()
-    scene = synth_scene(SCENE, SECONDS, config)
-    mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE,
-                        sample_rate_hz=config.sample_rate_hz)
     params = init_parameters(config, PARAM_SEED, dtype=np.float32)
-    wave, frames = mixture.astype(np.float32), scene.frames.astype(np.float32)
-    tracemalloc.start()
-    try:
-        network.enhance(wave, frames, params, config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for seconds in (SECONDS, LONG_SECONDS):
+        scene = synth_scene(SCENE, seconds, config)
+        mixture = mix_scene(scene.target, scene.interferer, scene.snr_db, seed=SCENE,
+                            sample_rate_hz=config.sample_rate_hz)
+        wave, frames = mixture.astype(np.float32), scene.frames.astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = network.enhance(wave, frames, params, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    arrays[f"default/float32/enhance_{LONG_SECONDS:g}s"] = out
+    np.savez(out_path, **arrays)
+    return peaks
 
 
 def training_run(name, config, lengths, epochs) -> dict[str, np.ndarray]:
@@ -178,8 +186,8 @@ def run_tree(tree: Path, out_path: Path, pin: bool) -> dict[str, np.ndarray]:
         "import avse; sys.path.insert(0, sys.argv[1])\n"
         "if not avse.__file__.startswith(sys.argv[2]):\n"
         "    raise SystemExit(f'imported {avse.__file__}, not {sys.argv[2]}')\n"
-        "import equiv; peak = equiv.dump(sys.argv[3])\n"
-        "print(len(os.sched_getaffinity(0)), peak)"
+        "import equiv; peaks = equiv.dump(sys.argv[3])\n"
+        "print(len(os.sched_getaffinity(0)), *peaks)"
     )
     here = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
@@ -187,10 +195,10 @@ def run_tree(tree: Path, out_path: Path, pin: bool) -> dict[str, np.ndarray]:
          "pin" if pin else "keep"],
         env=env, check=True, stdout=subprocess.PIPE, text=True,
     )
-    cpus, peak = proc.stdout.split()[-2:]
+    cpus, short, long = proc.stdout.split()[-3:]
     print(f"{tree}: ran with {cpus} CPUs in its affinity set, one BLAS thread; "
-          f"default float32 enhance of {SECONDS:g} s peaked at {int(peak) / 2**20:.1f} MiB "
-          f"(tracemalloc)")
+          f"default float32 enhance peaked at {int(short) / 2**20:.1f} MiB at {SECONDS:g} s "
+          f"and {int(long) / 2**20:.1f} MiB at {LONG_SECONDS:g} s (tracemalloc)")
     with np.load(out_path) as z:
         return {k: z[k] for k in z.files}
 
