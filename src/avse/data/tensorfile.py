@@ -14,7 +14,7 @@ Round trips are bit-identical.  Readers work on the open file, field by
 field from its current position: every length is checked against the
 bytes left before anything is read or allocated, so a corrupt extent
 never sizes a buffer, and the payload is read straight into the array.
-The same helpers read the blocks of a checkpoint (``training.checkpoint``).
+The same readers read checkpoints (``training.checkpoint``) and WAV files.
 """
 
 from __future__ import annotations
@@ -56,36 +56,40 @@ def open_source(path, error=CorruptFileError):
         with open(path, "rb") as fh:
             source = fh if fh.seekable() else io.BytesIO(fh.read())
             yield source
-            if left := _left(source):
+            if left := bytes_left(source):
                 raise error(f"{path}: {left} trailing bytes")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def _left(fh) -> int:
-    """Bytes between the position of ``fh`` and the end of its source."""
+def bytes_left(fh) -> int:
+    """Bytes from the position of ``fh`` to the end of its source (< 0 past it)."""
     size = len(fh.getvalue()) if isinstance(fh, io.BytesIO) else os.fstat(fh.fileno()).st_size
     return size - fh.tell()
 
 
-def read_exact(fh, n: int, label: str, what: str, error=CorruptFileError) -> bytes:
-    """The next ``n`` bytes of ``fh``; raises ``error`` naming ``label`` and
-    ``what`` when fewer are left.  The check comes before the read,
-    because ``read(n)`` allocates ``n`` bytes up front."""
-    _need(fh, n, label, what, error)
-    return fh.read(n)
-
-
-def _need(fh, n: int, label: str, what: str, error) -> None:
-    if n > (left := _left(fh)):
+def read_array(fh, dtype, shape, label: str, what: str, error=CorruptFileError) -> np.ndarray:
+    """The next ``shape`` array of ``dtype``, read straight into a new one.
+    The bytes left are checked first, so a corrupt length never sizes a
+    buffer; ``error`` names ``label`` and ``what``."""
+    dtype = np.dtype(dtype)
+    n = dtype.itemsize * math.prod(shape)
+    if n > (left := bytes_left(fh)):
         raise error(f"{label}: truncated {what}: needs {n} bytes, {left} left")
+    arr = np.empty(shape, dtype)
+    fh.readinto(arr)
+    return arr
+
+
+def read_fields(fh, fmt: str, label: str, what: str, error=CorruptFileError) -> tuple:
+    """The next struct ``fmt`` of ``fh`` (``f"{n}s"``: n raw bytes), by ``read_array``."""
+    n = struct.calcsize(fmt)
+    return struct.unpack(fmt, read_array(fh, np.uint8, (n,), label, what, error))
 
 
 def read_block(fh, label: str, error=CorruptFileError) -> np.ndarray:
     """Read one tensor block from the position of ``fh``."""
-    magic, version, dtype, ndim, _ = struct.unpack(
-        "<4sBBBB", read_exact(fh, 8, label, "header", error)
-    )
+    magic, version, dtype, ndim, _ = read_fields(fh, "<4sBBBB", label, "header", error)
     if magic != MAGIC:
         raise error(f"{label}: magic {magic!r} is not {MAGIC!r}")
     if version != VERSION:
@@ -94,13 +98,10 @@ def read_block(fh, label: str, error=CorruptFileError) -> np.ndarray:
         raise error(f"{label}: unsupported dtype code {dtype}")
     if ndim < 1:
         raise error(f"{label}: ndim must be at least 1")
-    shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, label, "extent list", error))
+    shape = read_fields(fh, f"<{ndim}I", label, "extent list", error)
     if 0 in shape:
         raise error(f"{label}: zero extent in shape {shape}")
-    _need(fh, 4 * math.prod(shape), label, f"payload of shape {shape}", error)
-    arr = np.empty(shape, dtype="<f4")
-    fh.readinto(arr)
-    return arr
+    return read_array(fh, "<f4", shape, label, f"payload of shape {shape}", error)
 
 
 def tensor_block(tensor: np.ndarray) -> bytes:

@@ -1,8 +1,13 @@
 """16-bit mono PCM WAV reading and writing.
 
 Reading accepts any RIFF/WAVE file holding PCM, 16-bit, single-channel
-audio at 1 to ``MAX_RATE_HZ`` Hz, tolerating extra chunks before the
-payload.  Writing always produces the canonical 44-byte-header layout.
+audio at 1 to ``MAX_RATE_HZ`` Hz.  It walks the chunks of the open file
+with the bounded readers of ``data.tensorfile``, seeking past the ones
+it does not read; the last ``fmt `` and ``data`` chunks count.  A data
+chunk longer than the rest of the file is refused before it sizes a
+buffer; another chunk may run past the end, which ends the walk, and
+fewer than 8 bytes after the last chunk are ignored.  Writing always
+produces the canonical 44-byte-header layout.
 Samples map to floats by 1/32768 on load; saving clamps to [-1, 1],
 scales by 32767, and rounds half away from zero, so a round trip moves
 each sample by less than (0.5 + |x|)/32768.
@@ -10,10 +15,12 @@ each sample by less than (0.5 + |x|)/32768.
 
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
 
+from avse.data.tensorfile import bytes_left, open_source, read_array, read_fields
 from avse.errors import CorruptFileError, DataError, UnsupportedFormatError
 
 _PCM = 1
@@ -32,37 +39,28 @@ def _check_rate(rate: int, where) -> None:
 
 def load_wav(path) -> tuple[np.ndarray, int]:
     """Returns (waveform in [-1, 1), sample rate in Hz)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CorruptFileError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 12:
-        raise CorruptFileError(f"{path}: too short for a RIFF header")
-    magic, _, wave_id = struct.unpack("<4sI4s", blob[:12])
-    if magic != b"RIFF":
-        raise UnsupportedFormatError(f"{path}: magic {magic!r} is not RIFF")
-    if wave_id != b"WAVE":
-        raise UnsupportedFormatError(f"{path}: form type {wave_id!r} is not WAVE")
-    # chunk bodies are views of the file's bytes, not copies
-    view = memoryview(blob)
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(blob):
-        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
-        body = view[pos + 8 : pos + 8 + size]
-        if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise CorruptFileError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack("<HHIIHH", body[:16])
-        elif chunk_id == b"data":
-            if len(body) < size:
-                raise CorruptFileError(
-                    f"{path}: data chunk claims {size} bytes, file holds {len(body)}"
-                )
-            data = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+    label = str(path)
+    fmt = data = None
+    with open_source(path) as fh:
+        magic, _, wave_id = read_fields(fh, "<4sI4s", label, "RIFF header")
+        if magic != b"RIFF":
+            raise UnsupportedFormatError(f"{path}: magic {magic!r} is not RIFF")
+        if wave_id != b"WAVE":
+            raise UnsupportedFormatError(f"{path}: form type {wave_id!r} is not WAVE")
+        while bytes_left(fh) >= 8:
+            chunk_id, size = read_fields(fh, "<4sI", label, "chunk header")
+            skip = size + (size & 1)  # chunks are word-aligned
+            if chunk_id == b"fmt ":
+                if size < 16:
+                    raise CorruptFileError(f"{path}: fmt chunk truncated")
+                fmt = read_fields(fh, "<HHIIHH", label, "fmt chunk")
+                skip -= 16
+            elif chunk_id == b"data":
+                data = read_array(fh, np.uint8, (size,), label, "data chunk")
+                skip -= size
+            # Past the end of the file, this ends the walk.
+            fh.seek(skip, io.SEEK_CUR)
+        fh.seek(0, io.SEEK_END)  # fewer than 8 bytes left hold no chunk
     if fmt is None:
         raise CorruptFileError(f"{path}: no fmt chunk")
     if data is None:
@@ -77,7 +75,7 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     _check_rate(rate, path)
     if len(data) % 2 != 0:
         raise CorruptFileError(f"{path}: odd data size {len(data)} for 16-bit samples")
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    samples = data.view("<i2").astype(np.float64)
     samples /= 32768.0
     return samples, rate
 

@@ -25,10 +25,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from avse.errors import ConfigError, InsufficientSignalError, ShapeError
+from avse.ops.dense import fold_halves
 
 FS = 10000  # analysis rate, Hz
 FRAME_LEN = 256
-HOP = 128  # FRAME_LEN / 2: overlap-add sums two half frames per hop
+HOP = 128  # FRAME_LEN / 2: the overlap-add is the half-overlap fold
 NFFT = 512
 NUM_BANDS = 15
 FIRST_CENTER_HZ = 150.0
@@ -113,11 +114,8 @@ def _remove_silent_frames(x: np.ndarray) -> np.ndarray:
         )
     frames = _frames(x)
     energies_db = 20.0 * np.log10(np.linalg.norm(frames[0], axis=1) + _EPS)
-    halves = frames[:, energies_db > energies_db.max() - DYN_RANGE_DB].reshape(2, -1, 2, HOP)
-    out = np.zeros((2, halves.shape[1] + 1, HOP))
-    out[:, :-1] += halves[:, :, 0]
-    out[:, 1:] += halves[:, :, 1]
-    return out.reshape(2, -1)
+    kept = energies_db > energies_db.max() - DYN_RANGE_DB
+    return fold_halves(frames[:, kept].transpose(1, 2, 0))  # as chunks [M, FRAME_LEN, 2]
 
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.model.network import (
     FRONT_STRIDE,
-    _fold,
     apply_mask,
     encode_audio_fwd,
     fuse_fwd,
@@ -26,7 +25,7 @@ from avse.model.network import (
     visual_forward_fwd,
 )
 from avse.ops.conv import conv1d_vjp, conv3d_vjp, conv_transpose1d, conv_transpose1d_vjp
-from avse.ops.dense import group_norm_vjp, linear_vjp, resize_linear_time_vjp
+from avse.ops.dense import fold_halves, group_norm_vjp, linear_vjp, resize_linear_time_vjp
 from avse.ops.rnn import bilstm_backward_batched
 
 
@@ -116,12 +115,13 @@ def _sep_path_bwd(cache, params, g_out, grads, work):
     grads[f"{base}.gn.gamma"] = ggamma
     grads[f"{base}.gn.beta"] = gbeta
     g_proj = np.moveaxis(g_norm_in, 0, -1)
+    lstm_cache = cache["lstm_cache"]
     g_y, gw, gb = linear_vjp(
-        cache["y"], params[f"{base}.proj.w"], params[f"{base}.proj.b"], g_proj
+        lstm_cache["y"], params[f"{base}.proj.w"], params[f"{base}.proj.b"], g_proj
     )
     grads[f"{base}.proj.w"] = gw
     grads[f"{base}.proj.b"] = gb
-    g_x, gw_fw, gb_fw, gw_bw, gb_bw = bilstm_backward_batched(cache["lstm_cache"], g_y, work)
+    g_x, gw_fw, gb_fw, gw_bw, gb_bw = bilstm_backward_batched(lstm_cache, g_y, work)
     grads[f"{base}.lstm.w_fw"] = gw_fw
     grads[f"{base}.lstm.b_fw"] = gb_fw
     grads[f"{base}.lstm.w_bw"] = gw_bw
@@ -148,7 +148,7 @@ def _separator_bwd(cache, params, config, g_mask, grads, work):
             unit["intra"], params, g_swapped.transpose(1, 0, 2), grads, work
         )
     # Adjoint of segment_time: sum the overlapping halves, drop the padding.
-    return _fold(g_chunks)[:, : cache["t_a"]]
+    return fold_halves(g_chunks)[:, : cache["t_a"]]
 
 
 def _fuse_bwd(cache, params, config, g_f, grads):

@@ -31,7 +31,7 @@ from avse.errors import InputTooShortError, ShapeError
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams
 from avse.ops.conv import conv1d, conv3d, conv_transpose1d
-from avse.ops.dense import _update, group_norm, linear, resize_linear_time
+from avse.ops.dense import _update, fold_halves, group_norm, linear, resize_linear_time
 from avse.ops.rnn import LstmParams, bilstm_forward_batched, work_array
 
 
@@ -151,16 +151,6 @@ def segment_time(x: np.ndarray, hop: int) -> np.ndarray:
     return np.concatenate([halves[:-1], halves[1:]], axis=1)
 
 
-def _fold(chunks: np.ndarray) -> np.ndarray:
-    """Sum half-overlapping chunks [Q, 2 * hop, C] into [C, (Q + 1) * hop]."""
-    q, chunk, c = chunks.shape
-    hop = chunk // 2
-    acc = np.zeros((c, q + 1, hop), dtype=chunks.dtype)
-    acc[:, :-1] += chunks[:, :hop].transpose(2, 0, 1)
-    acc[:, 1:] += chunks[:, hop:].transpose(2, 0, 1)
-    return acc.reshape(c, (q + 1) * hop)
-
-
 def overlap_add(chunks: np.ndarray, t_out: int) -> np.ndarray:
     """Invert segment_time by averaging overlapped positions; exact when all
     chunks agree (each position is covered once or twice, and 2x/2 == x)."""
@@ -173,7 +163,7 @@ def overlap_add(chunks: np.ndarray, t_out: int) -> np.ndarray:
     t_pad = (q + 1) * hop
     if t_out > t_pad:
         raise ShapeError(f"target length {t_out} exceeds padded extent {t_pad}")
-    acc = _fold(chunks)
+    acc = fold_halves(chunks)
     acc[:, hop : q * hop] /= 2
     return acc[:, :t_out]
 
@@ -213,7 +203,7 @@ def _sep_path_fwd(x, params, base, keep_cache=True, work=None):
     proj_shape = y.shape[:-1] + (w.shape[0],)
     proj_out = work_array(path, proj_key, proj_shape, np.result_type(y, w))
     proj = linear(y, w, params[f"{base}.proj.b"], out=proj_out)
-    cache = {"lstm_cache": lstm_cache, "y": y, "proj": proj, "base": base} if keep_cache else None
+    cache = {"lstm_cache": lstm_cache, "proj": proj, "base": base} if keep_cache else None
     # Layer norm: one mean and variance over all of [C, Q, P] (one group),
     # gain and bias per channel.  The backward reads the cached projection,
     # so only the forward without a cache normalizes in place.

@@ -1,4 +1,5 @@
-"""Affine, normalization and linear time-resize operations with VJPs.
+"""Affine, normalization and linear time-resize operations with VJPs,
+and the half-overlap fold (overlap-add, segmentation's adjoint, STOI).
 
 Every result owns its memory, and no input is written unless the caller
 hands it over: ``linear`` and ``group_norm`` take an ``out=`` array for
@@ -218,3 +219,14 @@ def resize_linear_time_vjp(x: np.ndarray, t_out: int, gy: np.ndarray) -> np.ndar
     np.add.at(gx, i0, (1.0 - frac)[:, None] * gy)
     np.add.at(gx, i0 + 1, frac[:, None] * gy)
     return gx
+
+
+def fold_halves(chunks: np.ndarray) -> np.ndarray:
+    """Sum half-overlapping chunks [Q, 2 * hop, C] into [C, (Q + 1) * hop];
+    all first halves are added before all second halves."""
+    q, chunk, c = chunks.shape
+    hop = chunk // 2
+    acc = np.zeros((c, q + 1, hop), dtype=chunks.dtype)
+    acc[:, :-1] += chunks[:, :hop].transpose(2, 0, 1)
+    acc[:, 1:] += chunks[:, hop:].transpose(2, 0, 1)
+    return acc.reshape(c, (q + 1) * hop)

@@ -54,8 +54,9 @@ too, one per separator call (``model/network.py``): every path of the
 call writes its output into the same buffer, so the output and the step
 slabs are allocated once a call, not once a path.  Callers without a
 workspace (the gradient check) get new arrays on every call.  The
-packed weights are filled in place, block by block; only a forward that
-keeps its cache also builds the stored-order copy its backward reads.
+packed weights are filled in place, block by block.  A cache keeps the
+``LstmParams`` the forward ran with, not a copy of the weights: the
+backward stacks both directions' W_x and W_h from them.
 
 The two directions share no state, so in inference each may run on
 its own core.  The time loop is one function over a slice of the
@@ -250,11 +251,11 @@ def bilstm_forward_batched(
     """Both directions over [B, T, D]; returns ([B, T, 2H], cache).
 
     With keep_cache=False the gate and cell records that only the
-    backward pass reads are never stored.  The cache holds the input and
-    the returned output themselves, which must not be written to.  With
-    a ``work`` dict the output and the records are written into its
-    arrays (see the module docstring), so they live until the next call
-    with the same dict.
+    backward pass reads are never stored.  The cache holds the input,
+    the returned output and ``params`` themselves, which must not be
+    written to before the backward.  With a ``work`` dict the output and
+    the records are written into its arrays (see the module docstring),
+    so they live until the next call with the same dict.
     """
     if x.ndim != 3:
         raise ShapeError(f"batched BiLSTM input must be [B, T, D], got shape {x.shape}")
@@ -270,11 +271,6 @@ def bilstm_forward_batched(
     # One dtype (NumPy's own promotion) keeps every matmul on the BLAS path.
     ct = np.result_type(x.dtype, params.w_fw.dtype)
     x = x.astype(ct, copy=False)
-    if keep_cache:
-        # The backward's products take both directions' weights as stored,
-        # each row [W_x, b, W_h].
-        w, b = np.stack([params.w_fw, params.w_bw]), np.stack([params.b_fw, params.b_bw])
-        wb = np.concatenate([w[:, :, :d], b[:, :, None], w[:, :, d:]], axis=2).astype(ct, copy=False)
     # [4, 2, D+1+H, H], packed i, f, o, g with the sigmoid rows halved: the
     # product lands as one [B, H] block per gate and direction.  Filled
     # block by block, with no stacked or concatenated copy in between.
@@ -297,7 +293,7 @@ def bilstm_forward_batched(
     _by_direction(lambda dirs: _forward_steps(dirs, x, w_t, y, gates, cells), split)
     if not keep_cache:
         return y, None
-    return y, {"x": x, "wb": wb, "gates": gates, "cells": cells, "y": y, "hidden_size": hs}
+    return y, {"x": x, "params": params, "gates": gates, "cells": cells, "y": y, "hidden_size": hs}
 
 
 def bilstm_backward_batched(
@@ -308,16 +304,16 @@ def bilstm_backward_batched(
     With a ``work`` dict the block buffers are its arrays, which every
     call shares.
     """
-    x, wb, gates, cells, y = (cache[k] for k in ("x", "wb", "gates", "cells", "y"))
+    x, params, gates, cells, y = (cache[k] for k in ("x", "params", "gates", "cells", "y"))
     hs = cache["hidden_size"]
     nb, t, d = x.shape
     if gy.shape != (nb, t, 2 * hs):
         raise ShapeError(f"cotangent shape {gy.shape} does not match output {(nb, t, 2 * hs)}")
     ct = gates.dtype
     # Gate cotangents dz follow the stored i, f, g, o order, so the
-    # products below take wb as it is.
-    wx = np.ascontiguousarray(wb[:, :, :d])  # [2, 4H, D]
-    wh = np.ascontiguousarray(wb[:, :, d + 1 :])  # [2, 4H, H]
+    # products below take both directions' weights as stored.
+    wx = np.stack([params.w_fw[:, :d], params.w_bw[:, :d]]).astype(ct, copy=False)  # [2, 4H, D]
+    wh = np.stack([params.w_fw[:, d:], params.w_bw[:, d:]]).astype(ct, copy=False)  # [2, 4H, H]
     k = max(1, min(t, BLOCK_BYTES // gates[0].nbytes))
     coef = work_array(work, "bwd.coef", (k, 4, 2, nb, hs), ct)
     ci, cf, cg, co = coef.transpose(1, 0, 2, 3, 4)
@@ -327,7 +323,7 @@ def bilstm_backward_batched(
     xh = work_array(work, "bwd.xh", (2, k, nb, d + 1 + hs), ct)  # step rows [x_t, 1, h_prev]
     xh[:, :, :, d] = 1
     gx = np.zeros((t, nb, d), dtype=ct)  # time-major; returned as a [B, T, D] view
-    gwb = np.zeros_like(wb)
+    gwb = np.zeros((2, 4 * hs, d + 1 + hs), dtype=ct)  # rows [W_x, b, W_h]
     dh = np.zeros((2, nb, hs), dtype=ct)
     dc = np.zeros((2, nb, hs), dtype=ct)
     tmp = np.empty((2, nb, hs), dtype=ct)

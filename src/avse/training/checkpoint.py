@@ -14,10 +14,12 @@ Binary layout, little-endian throughout:
 
 Tensor records are written in sorted-name order, so load followed by
 save reproduces the file byte for byte.  Loading reads the open file
-field by field with the bounded reads of ``data.tensorfile``, so a
-length that claims more than the file holds is refused before it sizes
-a buffer, and validates every tensor shape against the shape table
-derived from the embedded config.  A parameters-only load
+field by field with the field and array readers of ``data.tensorfile``,
+so a length that claims more than the file holds is refused before it
+sizes a buffer.  It refuses a tensor name that appears twice in a
+section (the later copy would otherwise replace the earlier, and a
+re-save would not reproduce the file), and validates every tensor shape
+against the shape table derived from the embedded config.  A parameters-only load
 (``moments=False``, as ``avse enhance`` asks) stops before the optimizer
 section: it neither reads nor validates the moments, two thirds of a
 trained checkpoint's bytes.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from avse.errors import ConfigError, CorruptCheckpointError
-from avse.data.tensorfile import open_source, read_block, read_exact, tensor_block
+from avse.data.tensorfile import open_source, read_block, read_fields, tensor_block
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams, check_tensors, parameter_shapes
 from avse.training.optimizer import OptimizerState
@@ -61,21 +63,17 @@ def _named_blocks(tensors: dict[str, np.ndarray]) -> bytearray:
     return out
 
 
-def _unpack(fh, fmt: str, label: str, what: str) -> tuple:
-    """The next struct ``fmt`` of ``fh``; ``f"{n}s"`` reads n raw bytes."""
-    n = struct.calcsize(fmt)
-    return struct.unpack(fmt, read_exact(fh, n, label, what, CorruptCheckpointError))
-
-
 def _read_named_blocks(fh, count: int, label: str) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = _unpack(fh, "<H", label, "tensor name length")
-        (raw,) = _unpack(fh, f"{name_len}s", label, "tensor name")
+        (name_len,) = read_fields(fh, "<H", label, "tensor name length", CorruptCheckpointError)
+        (raw,) = read_fields(fh, f"{name_len}s", label, "tensor name", CorruptCheckpointError)
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptCheckpointError(f"{label}: tensor name is not UTF-8: {exc}") from exc
+        if name in tensors:
+            raise CorruptCheckpointError(f"{label}: tensor {name!r} appears twice")
         tensors[name] = read_block(fh, f"{label}: tensor {name!r}", CorruptCheckpointError)
     return tensors
 
@@ -106,18 +104,19 @@ def load_checkpoint(path, *, moments: bool = True) -> Checkpoint:
     unread and the result has none."""
     label = str(path)
     with open_source(path, CorruptCheckpointError) as fh:
-        magic, version, flags, _ = _unpack(fh, "<4sBBH", label, "header")
+        header = read_fields(fh, "<4sBBH", label, "header", CorruptCheckpointError)
+        magic, version, flags, _ = header
         if magic != MAGIC:
             raise CorruptCheckpointError(f"{label}: magic {magic!r} is not {MAGIC!r}")
         if version != VERSION:
             raise CorruptCheckpointError(f"{label}: unsupported version {version}")
-        (config_len,) = _unpack(fh, "<I", label, "config length")
-        (raw,) = _unpack(fh, f"{config_len}s", label, "config record")
+        (config_len,) = read_fields(fh, "<I", label, "config length", CorruptCheckpointError)
+        (raw,) = read_fields(fh, f"{config_len}s", label, "config record", CorruptCheckpointError)
         try:
             config = ModelConfig.from_json(raw.decode("utf-8"))
         except (UnicodeDecodeError, ConfigError) as exc:
             raise CorruptCheckpointError(f"{label}: bad embedded config: {exc}") from exc
-        (count,) = _unpack(fh, "<I", label, "tensor count")
+        (count,) = read_fields(fh, "<I", label, "tensor count", CorruptCheckpointError)
         tensors = _read_named_blocks(fh, count, label)
         expected = parameter_shapes(config)
         check_tensors(tensors, expected, f"{label}: parameters", CorruptCheckpointError)
@@ -126,7 +125,8 @@ def load_checkpoint(path, *, moments: bool = True) -> Checkpoint:
         if flags & _FLAG_OPTIMIZER and not moments:
             fh.seek(0, io.SEEK_END)  # open_source refuses bytes left unread
         elif flags & _FLAG_OPTIMIZER:
-            t, lr, beta1, beta2, eps = _unpack(fh, "<Qdddd", label, "optimizer header")
+            header = read_fields(fh, "<Qdddd", label, "optimizer header", CorruptCheckpointError)
+            t, lr, beta1, beta2, eps = header
             stored = _read_named_blocks(fh, 2 * count, label)
             shapes = {f"{k}.{name}": s for k in "mv" for name, s in expected.items()}
             check_tensors(stored, shapes, f"{label}: optimizer moments", CorruptCheckpointError)

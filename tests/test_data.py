@@ -60,9 +60,9 @@ class TestLoadWav:
         assert np.array_equal(wave, [0.0, 32767.0 / 32768.0, -1.0, 0.5])
 
     def test_load_peak_is_the_file_and_the_returned_array(self, tmp_path):
-        """Chunk bodies are read as views of the file's bytes and the
-        samples are scaled in place: no copy of the payload, no second
-        float64 array."""
+        """The data chunk is read straight into one array of its bytes
+        and the samples are scaled in place: no copy of the payload, no
+        second float64 array."""
         path = tmp_path / "ten_seconds.wav"
         save_wav(path, Stream(93).uniform(160000, -1.0, 1.0), 16000)
         (wave, rate), peak = traced_peak(load_wav, path)
@@ -102,6 +102,105 @@ class TestLoadWav:
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedFormatError, match=f"sample rate {rate} Hz"):
             load_wav(path)
+
+
+def _chunk(chunk_id, body, size=None, pad=True):
+    """One RIFF chunk: id, size (the body's unless given), body, and the
+    pad byte an odd body is followed by (unless ``pad`` is false)."""
+    size = len(body) if size is None else size
+    return struct.pack("<4sI", chunk_id, size) + body + (b"\0" if pad and len(body) % 2 else b"")
+
+
+def _fmt(rate=16000, channels=1, extra=b""):
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", 1, channels, rate, 2 * rate, 2, 16) + extra)
+
+
+def _data(samples):
+    return _chunk(b"data", struct.pack(f"<{len(samples)}h", *samples))
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return struct.pack("<4sI", b"RIFF", len(body)) + body
+
+
+_S1, _S2 = [3, -7, 32767, -32768], [100, 200]
+_LIST = _chunk(b"LIST", b"INFOISFT" + struct.pack("<I", 5) + b"avse\0\0")
+
+# name -> (file bytes, (samples, rate) when accepted, else the error class)
+WAV_VARIANTS = {
+    "list_before_fmt": (_riff(_LIST, _fmt(), _data(_S1)), (_S1, 16000)),
+    "fmt_of_18_bytes": (_riff(_fmt(extra=b"\0\0"), _data(_S1)), (_S1, 16000)),
+    "odd_chunk_with_pad": (_riff(_fmt(), _chunk(b"junk", b"abc"), _data(_S1)), (_S1, 16000)),
+    "odd_chunk_last_without_pad": (
+        _riff(_fmt(), _data(_S1), _chunk(b"junk", b"abc", pad=False)), (_S1, 16000)),
+    "two_data_chunks_last_counts": (_riff(_fmt(), _data(_S1), _data(_S2)), (_S2, 16000)),
+    "two_fmt_chunks_last_counts": (_riff(_fmt(8000), _fmt(), _data(_S1)), (_S1, 16000)),
+    "data_before_fmt": (_riff(_data(_S1), _fmt(22050)), (_S1, 22050)),
+    "empty_data": (_riff(_fmt(), _data([])), ([], 16000)),
+    "chunk_after_last_chunk": (_riff(_fmt(), _data(_S1)) + b"\xff" * 10, (_S1, 16000)),
+    "zero_chunk_after_last_chunk": (_riff(_fmt(), _data(_S1)) + bytes(12), (_S1, 16000)),
+    "seven_trailing_bytes": (_riff(_fmt(), _data(_S1)) + b"abcdefg", (_S1, 16000)),
+    "list_past_the_end": (
+        _riff(_fmt(), _data(_S1)) + struct.pack("<4sI", b"LIST", 1000) + b"abcd", (_S1, 16000)),
+    "fmt_past_the_end": (
+        _riff(_data(_S1)) + struct.pack("<4sI", b"fmt ", 40) + _fmt()[8:], (_S1, 16000)),
+    "list_past_the_end_before_data": (
+        _riff(_fmt()) + struct.pack("<4sI", b"LIST", 1000) + _data(_S1), CorruptFileError),
+    "truncated_data": (_riff(_fmt(), _data(_S1))[:-3], CorruptFileError),
+    "data_claiming_more": (_riff(_fmt(), _chunk(b"data", bytes(4), size=8)), CorruptFileError),
+    "odd_data_with_pad": (_riff(_fmt(), _chunk(b"data", bytes(5))), CorruptFileError),
+    "odd_data_last_without_pad": (
+        _riff(_fmt(), _chunk(b"data", bytes(5), pad=False)), CorruptFileError),
+    "odd_data_stereo": (
+        _riff(_fmt(channels=2), _chunk(b"data", bytes(5))), UnsupportedFormatError),
+    "fmt_of_14_bytes": (
+        _riff(_chunk(b"fmt ", _fmt()[8:22]), _data(_S1)), CorruptFileError),
+    "fmt_truncated_by_the_end": (_riff(_data(_S1)) + _fmt()[:20], CorruptFileError),
+    "no_fmt": (_riff(_LIST, _data(_S1)), CorruptFileError),
+    "no_data": (_riff(_fmt(), _LIST), CorruptFileError),
+    "no_chunks": (_riff(), CorruptFileError),
+    "short_header": (b"RIFF\x04\x00\x00\x00WAV", CorruptFileError),
+    "form_not_wave": (_riff(_fmt(), _data(_S1)).replace(b"WAVE", b"AVI ", 1),
+                      UnsupportedFormatError),
+}
+
+
+class TestLoadWavChunkVariants:
+    """What ``load_wav`` accepts and refuses across RIFF chunk layouts:
+    each variant is accepted with its samples and rate, or refused with
+    exactly its error class."""
+
+    @pytest.mark.parametrize("name", sorted(WAV_VARIANTS))
+    def test_variant(self, tmp_path, name):
+        blob, expected = WAV_VARIANTS[name]
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(blob)
+        if isinstance(expected, type):
+            with pytest.raises(expected) as info:
+                load_wav(path)
+            assert type(info.value) is expected
+            assert str(path) in str(info.value)
+        else:
+            samples, rate = expected
+            wave, got_rate = load_wav(path)
+            assert got_rate == rate
+            assert wave.dtype == np.float64
+            assert np.array_equal(wave, np.array(samples, dtype=np.float64) / 32768.0)
+
+    @pytest.mark.parametrize("name", ["two_data_chunks_last_counts", "chunk_after_last_chunk",
+                                      "odd_data_with_pad"])
+    def test_pipe_reads_like_the_file(self, tmp_path, name):
+        blob, expected = WAV_VARIANTS[name]
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(blob)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                load_from_pipe(load_wav, blob)
+        else:
+            wave, rate = load_from_pipe(load_wav, blob)
+            assert rate == expected[1]
+            assert np.array_equal(wave, load_wav(path)[0])
 
 
 class TestSaveWav:

@@ -363,7 +363,7 @@ class TestDenseResultsOwnTheirMemory:
         assert not np.shares_memory(out, x)
         if keep_cache:
             assert not np.shares_memory(out, cache["proj"])
-            assert not np.shares_memory(out, cache["y"])
+            assert not np.shares_memory(out, cache["lstm_cache"]["y"])
 
 
 class TestResizeLinearTime:

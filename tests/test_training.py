@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from avse.data.synth import synth_scene
+from avse.data.tensorfile import tensor_block
 from avse.errors import (
     ConfigError,
     CorruptCheckpointError,
@@ -252,6 +253,45 @@ class TestCheckpoint:
         for moments in (True, False):
             with pytest.raises(CorruptCheckpointError, match="8 trailing bytes"):
                 load_checkpoint(path, moments=moments)
+
+    @staticmethod
+    def _record(name, array):
+        """One named tensor record as a checkpoint stores it."""
+        return struct.pack("<H", len(name)) + name.encode() + tensor_block(array)
+
+    @pytest.mark.parametrize("moments", [True, False])
+    def test_parameter_named_twice_rejected(self, tmp_path, moments):
+        """count + 1 parameter records whose first name comes twice: the
+        later copy used to replace the earlier, so the file loaded and a
+        re-save did not reproduce it."""
+        ckpt = self._checkpoint(with_optimizer=False)
+        path = tmp_path / "twice.avck"
+        save_checkpoint(path, ckpt)
+        raw = bytearray(path.read_bytes())
+        (config_len,) = struct.unpack_from("<I", raw, 8)
+        at = 12 + config_len  # the tensor count, then the first record
+        first = min(ckpt.params)
+        raw[at : at + 4] = struct.pack("<I", len(ckpt.params) + 1)
+        raw[at + 4 : at + 4] = self._record(first, np.zeros_like(ckpt.params[first]))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpointError, match=f"twice.avck: tensor '{first}' appears twice"):
+            load_checkpoint(path, moments=moments)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_moment_named_twice_rejected(self, tmp_path, moment):
+        """The second record of a moment's section repeats the first name."""
+        ckpt = self._checkpoint(with_optimizer=True)
+        path = tmp_path / "twice.avck"
+        save_checkpoint(path, ckpt)
+        raw = bytearray(path.read_bytes())
+        names = sorted(ckpt.params)[:3]
+        first, second, third = (f"{moment}.{n}" for n in names)
+        starts = [raw.index(struct.pack("<H", len(n)) + n.encode()) for n in (second, third)]
+        raw[starts[0] : starts[1]] = self._record(first, np.zeros_like(ckpt.params[names[0]]))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpointError, match=f"twice.avck: tensor '{first}' appears twice"):
+            load_checkpoint(path)
+        assert load_checkpoint(path, moments=False).params.keys() == ckpt.params.keys()
 
     def test_bad_magic_rejected(self, tmp_path):
         ckpt = self._checkpoint(with_optimizer=False)

@@ -23,8 +23,13 @@ the final parameters and both Adam moments.  Last come two
 default-config float32 ``network.enhance`` calls under ``tracemalloc``,
 on 1 s and on 10 s of scene 7: the 10 s output is dumped too, because
 only there does the inter-chunk BiLSTM run 400 steps, and both peaks are
-reported, the memory figures a change to the inference path cites.  936
-arrays in all.
+reported, the memory figures a change to the inference path cites.  The
+file readers and writers are covered apart from the model: the samples
+``load_wav`` returns for three multi-chunk WAV files that this script
+builds (a LIST chunk and an odd-sized chunk before the data, two data
+chunks, an 18-byte fmt chunk with trailing bytes), and the bytes
+``write_tensor`` writes for the tiny scene's frames, with what
+``read_tensor`` reads back.  944 arrays in all.
 
 Each tree is dumped twice, with one BLAS thread set in its child's
 environment, to cover both BiLSTM schedules
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -123,6 +129,7 @@ def dump(out_path: str) -> list[int]:
         finally:
             tracemalloc.stop()
     arrays[f"default/float32/enhance_{LONG_SECONDS:g}s"] = out
+    arrays.update(file_io())
     np.savez(out_path, **arrays)
     return peaks
 
@@ -165,6 +172,45 @@ def checkpoint_bytes(config, params, state, prefix: str) -> dict[str, np.ndarray
         save_checkpoint(resaved, load_checkpoint(saved))
         return {f"{prefix}/{p.stem}": np.frombuffer(p.read_bytes(), np.uint8).astype(np.float64)
                 for p in (saved, resaved)}
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    """A RIFF chunk with its pad byte."""
+    return struct.pack("<4sI", chunk_id, len(body)) + body + b"\0" * (len(body) & 1)
+
+
+def file_io() -> dict[str, np.ndarray]:
+    """What ``load_wav`` returns for three multi-chunk WAV files, and the
+    bytes ``write_tensor`` writes (as float64 values) and ``read_tensor``
+    reads back for the tiny config's scene frames."""
+    from avse.data.synth import synth_scene
+    from avse.data.tensorfile import read_tensor, write_tensor
+    from avse.data.wavio import load_wav
+    from avse.model.config import tiny_config
+
+    samples = np.arange(-1000, 1000, 7, dtype="<i2")
+    fmt_body = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    fmt, data = _chunk(b"fmt ", fmt_body), _chunk(b"data", samples.tobytes())
+    wavs = {
+        "list_and_odd_chunk": [_chunk(b"LIST", b"INFOISFT\5\0\0\0avse\0\0"), fmt,
+                               _chunk(b"junk", b"abc"), data],
+        "two_data_chunks": [fmt, _chunk(b"data", samples[::-1].tobytes()), data],
+        "long_fmt": [_chunk(b"fmt ", fmt_body + b"\0\0"), data],
+    }
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, chunks in wavs.items():
+            body = b"WAVE" + b"".join(chunks)
+            trailing = b"\xff" * 7 if name == "long_fmt" else b""
+            path = Path(tmp) / f"{name}.wav"
+            path.write_bytes(struct.pack("<4sI", b"RIFF", len(body)) + body + trailing)
+            arrays[f"io/wav/{name}"], rate = load_wav(path)
+            arrays[f"io/wav/{name}/rate"] = np.float64(rate)
+        path = Path(tmp) / "frames.avst"
+        write_tensor(path, synth_scene(SCENE, SECONDS, tiny_config()).frames)
+        arrays["io/avst/bytes"] = np.frombuffer(path.read_bytes(), np.uint8).astype(np.float64)
+        arrays["io/avst/read"] = read_tensor(path)
+    return arrays
 
 
 # One BLAS thread in every child, under each vendor's variable.
