@@ -3,7 +3,9 @@
 Reading accepts any RIFF/WAVE file holding PCM, 16-bit, single-channel
 audio at 1 to ``MAX_RATE_HZ`` Hz.  It walks the chunks of the open file
 with the bounded readers of ``data.tensorfile``, seeking past the ones
-it does not read; the last ``fmt `` and ``data`` chunks count.  A data
+it does not read; the last ``fmt `` and ``data`` chunks count.  The
+walk stops at the RIFF body's end, as its size field gives it, or at
+the file's if that comes first, and ignores what follows it.  A data
 chunk longer than the rest of the file is refused before it sizes a
 buffer; another chunk may run past the end, which ends the walk, and
 fewer than 8 bytes after the last chunk are ignored.  Writing always
@@ -42,12 +44,12 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     label = str(path)
     fmt = data = None
     with open_source(path) as fh:
-        magic, _, wave_id = read_fields(fh, "<4sI4s", label, "RIFF header")
+        magic, riff_size, wave_id = read_fields(fh, "<4sI4s", label, "RIFF header")
         if magic != b"RIFF":
             raise UnsupportedFormatError(f"{path}: magic {magic!r} is not RIFF")
         if wave_id != b"WAVE":
             raise UnsupportedFormatError(f"{path}: form type {wave_id!r} is not WAVE")
-        while bytes_left(fh) >= 8:
+        while min(8 + riff_size - fh.tell(), bytes_left(fh)) >= 8:
             chunk_id, size = read_fields(fh, "<4sI", label, "chunk header")
             skip = size + (size & 1)  # chunks are word-aligned
             if chunk_id == b"fmt ":
@@ -58,9 +60,9 @@ def load_wav(path) -> tuple[np.ndarray, int]:
             elif chunk_id == b"data":
                 data = read_array(fh, np.uint8, (size,), label, "data chunk")
                 skip -= size
-            # Past the end of the file, this ends the walk.
+            # Past the end of the walk, this ends it.
             fh.seek(skip, io.SEEK_CUR)
-        fh.seek(0, io.SEEK_END)  # fewer than 8 bytes left hold no chunk
+        fh.seek(0, io.SEEK_END)  # nothing past the walk is read
     if fmt is None:
         raise CorruptFileError(f"{path}: no fmt chunk")
     if data is None:

@@ -41,9 +41,7 @@ def enhance_fwd(wave, frames, params: ModelParams, config: ModelConfig, work=Non
     f, fuse_cache = fuse_fwd(a, v, params, config)
     m, sep_cache = separator_forward_fwd(f, params, config, work=work)
     am = apply_mask(a, m)
-    dec_out = conv_transpose1d(
-        am, params["dec.w"], params["dec.b"], stride=config.enc_stride
-    )
+    dec_out = conv_transpose1d(am, params["dec.w"], stride=config.enc_stride)
     cache = {
         "t": t,
         "a": a,
@@ -175,11 +173,10 @@ def enhance_bwd(
     t_pad = (t_pad_frames - 1) * config.enc_stride + config.enc_kernel
     g_dec = np.zeros((1, t_pad), dtype=am.dtype)
     g_dec[0, : cache["t"]] = g_out
-    g_am, gw, gb = conv_transpose1d_vjp(
-        am, params["dec.w"], params["dec.b"], g_dec, stride=config.enc_stride
+    g_am, gw, _ = conv_transpose1d_vjp(
+        am, params["dec.w"], None, g_dec, stride=config.enc_stride
     )
     grads["dec.w"] = gw
-    grads["dec.b"] = gb
     g_a = g_am * cache["m"]
     g_mask = g_am * cache["a"]
     g_f = _separator_bwd(cache["sep"], params, config, g_mask, grads, work)

@@ -275,7 +275,7 @@ def apply_mask(a: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def decode_audio(masked: np.ndarray, params: ModelParams, config: ModelConfig) -> np.ndarray:
     """Masked features [N, T_a] -> waveform [(T_a - 1) * S + K]."""
-    out = conv_transpose1d(masked, params["dec.w"], params["dec.b"], stride=config.enc_stride)
+    out = conv_transpose1d(masked, params["dec.w"], stride=config.enc_stride)
     return out[0]
 
 

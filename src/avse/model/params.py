@@ -17,7 +17,7 @@ gradients and moments ``adam_step`` receives.  Names are dotted paths:
     sep.u{u}.{intra,inter}.proj.{w,b}  2H -> C projection
     sep.u{u}.{intra,inter}.gn.{gamma,beta}
     mask.{w,b}                         1x1 mask head
-    dec.{w,b}                          transposed-convolution decoder
+    dec.w                              decoder; no bias, as SI-SDR ignores offsets
 
 Initialization: weight matrices and kernels draw uniform in
 +-sqrt(1/fan_in); biases start at zero except LSTM forget gates, which
@@ -115,7 +115,6 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["mask.w"] = (n, c_fuse, 1)
     shapes["mask.b"] = (n,)
     shapes["dec.w"] = (n, 1, k)
-    shapes["dec.b"] = (1,)
     return shapes
 
 

@@ -324,6 +324,11 @@ def bilstm_backward_batched(
     xh[:, :, :, d] = 1
     gx = np.zeros((t, nb, d), dtype=ct)  # time-major; returned as a [B, T, D] view
     gwb = np.zeros((2, 4 * hs, d + 1 + hs), dtype=ct)  # rows [W_x, b, W_h]
+    # Step-order views, as in the forward: index s of direction 1 is time T-1-s.
+    xs = [x, x[:, ::-1]]
+    ys = [y[:, :, :hs], y[:, ::-1, hs:]]
+    gys = [gy[:, :, :hs], gy[:, ::-1, hs:]]
+    gxs = [gx, gx[::-1]]
     dh = np.zeros((2, nb, hs), dtype=ct)
     dc = np.zeros((2, nb, hs), dtype=ct)
     tmp = np.empty((2, nb, hs), dtype=ct)
@@ -345,9 +350,8 @@ def bilstm_backward_batched(
         dc_dh = np.square(tc, out=tc)  # tc is not read again
         np.subtract(1, dc_dh, out=dc_dh)
         dc_dh *= go
-        # The backward direction's step s is time T-1-s.
-        gh[:n, 0] = gy[:, s0:s1, :hs].transpose(1, 0, 2)
-        gh[:n, 1] = gy[:, t - s1 : t - s0, hs:][:, ::-1].transpose(1, 0, 2)
+        for e, gyd in enumerate(gys):
+            gh[:n, e] = gyd[:, s0:s1].transpose(1, 0, 2)
         for j in range(n - 1, -1, -1):
             dh += gh[j]
             np.multiply(dh, dc_dh[j], out=tmp)
@@ -358,16 +362,13 @@ def bilstm_backward_batched(
             np.matmul(dz[:, j], wh, out=dh)
         dz_rows = dz[:, :n].reshape(2, n * nb, 4 * hs)
         gx_steps = np.matmul(dz_rows, wx).reshape(2, n, nb, d)
-        gx[s0:s1] += gx_steps[0]
-        gx[t - s1 : t - s0] += gx_steps[1, ::-1]
         # Weight and bias cotangents: dz against the block's step rows;
         # the first step's previous state is zero.
-        xh[0, :n, :, :d] = x[:, s0:s1].transpose(1, 0, 2)
-        xh[1, :n, :, :d] = x[:, t - s1 : t - s0][:, ::-1].transpose(1, 0, 2)
         lo = max(s0, 1)
-        xh[0, lo - s0 : n, :, d + 1 :] = y[:, lo - 1 : s1 - 1, :hs].transpose(1, 0, 2)
-        h_bw = y[:, t - s1 + 1 : t - lo + 1, hs:]
-        xh[1, lo - s0 : n, :, d + 1 :] = h_bw[:, ::-1].transpose(1, 0, 2)
+        for e, (xd, yd, gxd) in enumerate(zip(xs, ys, gxs)):
+            gxd[s0:s1] += gx_steps[e]
+            xh[e, :n, :, :d] = xd[:, s0:s1].transpose(1, 0, 2)
+            xh[e, lo - s0 : n, :, d + 1 :] = yd[:, lo - 1 : s1 - 1].transpose(1, 0, 2)
         if s0 == 0:
             xh[:, 0, :, d + 1 :] = 0
         gwb += np.matmul(dz_rows.transpose(0, 2, 1), xh[:, :n].reshape(2, n * nb, -1))

@@ -123,9 +123,6 @@ def train_scenes(
                 raise NumericError(
                     f"non-finite gradient at epoch {epoch}, step {step}, scene {scene_id}"
                 )
-            # dec.b adds a constant, which SI-SDR cannot see: its gradient is
-            # rounding noise that Adam would scale into steps, so hold it.
-            grads["dec.b"][...] = 0.0
             adam_step(params, grads, state)
             losses.append(loss)
             sisdrs.append(si_sdr(target, out))

@@ -9,7 +9,9 @@ commit and library versions it came from.
 
 The committed file was recorded at commit 7b80594, before the BiLSTM
 recurrence moved to one tanh per step and a blocked backward, so that
-rewrite is checked against the code it replaced.  Re-recording is a
+rewrite is checked against the code it replaced.  It is that recording
+minus the cotangent of the decoder's bias, a tensor the model no longer
+has; every other array and the provenance are as recorded.  Re-recording is a
 change in its own right: state and justify it; never re-record to make
 the test pass.
 """

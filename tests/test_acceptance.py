@@ -45,7 +45,7 @@ from helpers import fd_grad, randn, rel_err, scaled_config
 
 PER_OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
-DEFAULT_PARAM_COUNT = 4_626_881
+DEFAULT_PARAM_COUNT = 4_626_880
 
 
 def _verdict(number, ok, detail):

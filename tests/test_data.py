@@ -139,12 +139,14 @@ WAV_VARIANTS = {
     "data_before_fmt": (_riff(_data(_S1), _fmt(22050)), (_S1, 22050)),
     "empty_data": (_riff(_fmt(), _data([])), ([], 16000)),
     "chunk_after_last_chunk": (_riff(_fmt(), _data(_S1)) + b"\xff" * 10, (_S1, 16000)),
+    "data_after_riff_end": (_riff(_fmt(), _data(_S1)) + _data(_S2), (_S1, 16000)),
+    "fmt_after_riff_end": (_riff(_fmt(), _data(_S1)) + _fmt(8000), (_S1, 16000)),
     "zero_chunk_after_last_chunk": (_riff(_fmt(), _data(_S1)) + bytes(12), (_S1, 16000)),
     "seven_trailing_bytes": (_riff(_fmt(), _data(_S1)) + b"abcdefg", (_S1, 16000)),
     "list_past_the_end": (
         _riff(_fmt(), _data(_S1)) + struct.pack("<4sI", b"LIST", 1000) + b"abcd", (_S1, 16000)),
     "fmt_past_the_end": (
-        _riff(_data(_S1)) + struct.pack("<4sI", b"fmt ", 40) + _fmt()[8:], (_S1, 16000)),
+        _riff(_data(_S1)) + struct.pack("<4sI", b"fmt ", 40) + _fmt()[8:], CorruptFileError),
     "list_past_the_end_before_data": (
         _riff(_fmt()) + struct.pack("<4sI", b"LIST", 1000) + _data(_S1), CorruptFileError),
     "truncated_data": (_riff(_fmt(), _data(_S1))[:-3], CorruptFileError),
@@ -189,7 +191,7 @@ class TestLoadWavChunkVariants:
             assert np.array_equal(wave, np.array(samples, dtype=np.float64) / 32768.0)
 
     @pytest.mark.parametrize("name", ["two_data_chunks_last_counts", "chunk_after_last_chunk",
-                                      "odd_data_with_pad"])
+                                      "data_after_riff_end", "odd_data_with_pad"])
     def test_pipe_reads_like_the_file(self, tmp_path, name):
         blob, expected = WAV_VARIANTS[name]
         path = tmp_path / f"{name}.wav"

@@ -278,11 +278,9 @@ class TestEndToEnd:
         identity-shortcut branch of ``_trunk_block_bwd`` and the
         unit-to-unit chain of ``_separator_bwd`` are checked too; the tiny
         config has neither.  Central differences at ``FD_STEP`` on 4
-        sampled entries of each of the 73 tensors besides ``dec.b``, whose
-        true gradient is 0 (SI-SDR cannot see a constant) and whose finite
-        difference is rounding.  Seed 1 holds no ReLU kink within a step of
-        any sampled entry: differences at FD_STEP and FD_STEP / 10 agree
-        within 6e-7, and the worst entry reads about 1e-7."""
+        sampled entries of each of the 73 tensors.  Seed 1 holds no ReLU
+        kink within a step of any sampled entry: differences at FD_STEP and
+        FD_STEP / 10 agree within 6e-7, and the worst entry reads about 1e-7."""
         config = scaled_config(tiny_config(), vfn_blocks_per_stage=2, sep_units=2)
         root = Stream(1)
         h, w = config.frame_hw
@@ -301,7 +299,7 @@ class TestEndToEnd:
                 tensor[idx] = orig
 
         pick, worst = root.spawn(3), 0.0
-        for name in sorted(set(params) - {"dec.b"}):
+        for name in sorted(params):
             tensor = params[name]
             for flat in pick.integers(4, tensor.size):
                 idx = np.unravel_index(int(flat), tensor.shape)

@@ -99,7 +99,7 @@ def test_bit_flips(valid, fmt, flips):
 def test_non_utf8_tensor_name_is_checkpoint_corruption(valid):
     directory, _ = valid
     blob = bytearray(_good(valid, "avck"))
-    blob[blob.index(b"dec.b") + 1] |= 0x80  # 'e' becomes a stray continuation byte
+    blob[blob.index(b"dec.w") + 1] |= 0x80  # 'e' becomes a stray continuation byte
     path = directory / "bad_name.avck"
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptCheckpointError, match="bad_name.avck"):
