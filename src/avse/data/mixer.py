@@ -21,11 +21,38 @@ CROSSFADE_S = 0.010
 
 def _loop_with_crossfade(x: np.ndarray, length: int, xfade: int) -> np.ndarray:
     """Repeat ``x`` (shorter than ``length``) to ``length`` samples, blending
-    ``xfade`` samples at each seam.  Each pass writes into one array, so the
-    cost is linear in ``length`` however short ``x`` is."""
+    ``xfade`` samples at each seam, in time linear in ``length`` however
+    short ``x`` is.
+
+    Each pass fades the last ``xf`` samples into the head of ``x`` and
+    appends the ``period = n - xf`` samples after that head.  A sample
+    past the first copy is then the same function of ``x`` as every
+    sample ``period`` later, once every pass that fades it has run.  So
+    the passes run on a short output, as long as ``length`` modulo the
+    period: ``head`` samples that reach past the first copy by two seams
+    and periods, and a tail long enough that the last passes blend it as
+    they blend the end of the full output.  The rest repeats the period
+    just before ``head``, bit for bit as if every pass had run."""
     n = x.shape[0]
     # cap the fade so every pass appends at least one sample
     xf = min(xfade, n - 1)
+    period = n - xf
+    head = n + 2 * (xf + period)
+    tail = xf + period + (length - head - xf - period) % period
+    if head + tail >= length:
+        return _crossfade_passes(x, length, xf)
+    short = _crossfade_passes(x, head + tail, xf)
+    out = np.empty(length, dtype=short.dtype)
+    out[:head] = short[:head]
+    out[head : length - tail].reshape(-1, period)[...] = short[head - period : head]
+    out[length - tail :] = short[head:]
+    return out
+
+
+def _crossfade_passes(x: np.ndarray, length: int, xf: int) -> np.ndarray:
+    """The looping rule one pass per seam, every pass writing into one
+    array."""
+    n = x.shape[0]
     ramp = (np.arange(xf) + 1.0) / (xf + 1.0)
     fade_out, faded_in = 1.0 - ramp, x[:xf] * ramp
     out = np.empty(length + n, dtype=np.result_type(x, ramp) if xf > 0 else x.dtype)

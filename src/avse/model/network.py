@@ -25,7 +25,6 @@ sees only their sum, and ``segment_time``, ``overlap_add`` and
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from avse.errors import InputTooShortError, ShapeError
 from avse.model.config import ModelConfig
@@ -250,10 +249,7 @@ def separator_forward_fwd(fused, params, config, keep_cache=True, work=None):
     # buffers go now (a training workspace lives on in its caller).
     del work
     mask_in = overlap_add(chunks, t_a)
-    pre = conv1d(mask_in, params["mask.w"], params["mask.b"])
-    # One pass in the input's dtype; saturates to 0 and 1 without
-    # overflow warnings.
-    mask = expit(pre)
+    mask = _logistic_in_place(conv1d(mask_in, params["mask.w"], params["mask.b"]))
     if not keep_cache:
         return mask, None
     cache = {
@@ -264,6 +260,29 @@ def separator_forward_fwd(fused, params, config, keep_cache=True, work=None):
         "mask": mask,
     }
     return mask, cache
+
+
+def _logistic_in_place(z: np.ndarray) -> np.ndarray:
+    """Overwrite ``z`` with 1 / (1 + exp(-z)) in its own dtype and return
+    it, with one bool array beside it and no other full-size array.
+
+    Clipped to +-cut, exp stays finite and every intermediate and result
+    stays a normal number, so no step raises a floating-point flag; below
+    -cut the result is exact 0, and above cut the formula gives exact 1.
+    Not the LSTM gates' 1/2 + 1/2 tanh(z/2): that loses relative accuracy
+    towards 0."""
+    cut = float(np.floor(-np.log(np.finfo(z.dtype).tiny)))  # 87 or 708
+    below = z < -cut
+    np.clip(z, -cut, cut, out=z)
+    np.negative(z, out=z)
+    # NumPy's float32 exp flags underflow on a subnormal input, whose exp
+    # is exactly 1; after the clip no other input can underflow.
+    with np.errstate(under="ignore"):
+        np.exp(z, out=z)
+    z += 1
+    np.reciprocal(z, out=z)
+    z[below] = 0
+    return z
 
 
 def apply_mask(a: np.ndarray, m: np.ndarray) -> np.ndarray:

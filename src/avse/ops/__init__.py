@@ -8,6 +8,6 @@ float64 results, as required by gradient checking), and use fixed
 reduction orders so repeated calls are bit-identical.
 
 Elementwise ReLU and sigmoid are not ops here: the network writes them
-inline (``np.maximum(x, 0)``, SciPy's ``expit`` for the mask) and the
-backward writes their cotangents inline too.
+inline (``np.maximum(x, 0)``, a clipped in-place logistic for the mask)
+and the backward writes their cotangents inline too.
 """

@@ -17,11 +17,10 @@ repacks the gate blocks as i, f, o, g and halves the i, f and o rows,
 bias included (exact in binary floating point): then
 sigmoid(z) = 1/2 + 1/2 tanh(z/2) for the first three blocks is one
 in-place multiply-add on the tanh slab, and the cell gate keeps its
-tanh.  SciPy's ``expit`` is several times slower per element than
-NumPy's tanh.  The mask head in ``model/network.py`` keeps ``expit``
-all the same: 1/2 + 1/2 tanh(z/2) loses relative accuracy where the
-sigmoid saturates towards 0, and the mask is held to 1e-15 of the
-logistic formula for |z| <= 30.
+tanh.  The mask head in ``model/network.py`` computes
+1 / (1 + exp(-z)) instead: 1/2 + 1/2 tanh(z/2) loses relative accuracy
+where the sigmoid saturates towards 0, and the mask is held to 1e-15 of
+the logistic formula for |z| <= 30.
 
 The forward keeps the step rows of a block of steps in one buffer of at
 most ROW_BLOCK_BYTES (512 KB; 2 MB per thread raised the default

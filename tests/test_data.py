@@ -337,6 +337,25 @@ def _loop_with_crossfade_reference(x, length, xfade):
     return out[:length]
 
 
+def _loop_with_crossfade_passes(x, length, xfade):
+    """The looping rule one pass per seam over the whole output, every pass
+    writing into one array: linear in the number of passes."""
+    n = x.shape[0]
+    xf = min(xfade, n - 1)
+    ramp = (np.arange(xf) + 1.0) / (xf + 1.0)
+    fade_out, faded_in = 1.0 - ramp, x[:xf] * ramp
+    out = np.empty(length + n, dtype=np.result_type(x, ramp) if xf > 0 else x.dtype)
+    out[:n] = x
+    end = n
+    while end < length:
+        tail = out[end - xf : end]
+        tail *= fade_out
+        tail += faded_in
+        out[end : end + n - xf] = x[xf:]
+        end += n - xf
+    return out[:length]
+
+
 class TestMixScene:
     def test_unit_gain_at_zero_snr_equal_power(self):
         """Equal-power signals at 0 dB must use gain exactly 1: mixing a
@@ -395,17 +414,33 @@ class TestMixScene:
         fitted = fit_interferer(interferer, 1000, seed=0, sample_rate_hz=16000)
         assert fitted.shape == (1000,)
 
+    @pytest.mark.parametrize("length", [1000, 5003])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n, rate", [(1, 16000), (2, 16000), (3, 16000), (100, 16000),
-                                         (300, 16000), (7, 50)])
-    def test_loop_matches_the_concatenating_reference(self, n, rate, dtype):
+                                         (159, 16000), (160, 16000), (161, 16000),
+                                         (300, 16000), (319, 16000), (320, 16000),
+                                         (321, 16000), (7, 50)])
+    def test_loop_matches_the_concatenating_reference(self, n, rate, dtype, length):
         """1-3 samples fade over all but one; 100 fades over more than half
-        of the interferer, so seams blend into earlier seams; 50 Hz gives a
-        zero-sample fade."""
+        of the interferer, so seams blend into earlier seams; 159 and 160
+        cap the 160-sample fade at all but one sample and 161 does not;
+        319-321 make the period one below, at and one above the fade; 50 Hz
+        gives a zero-sample fade.  At 5003 samples every case repeats a
+        period; at 1000, 300-321 samples run every pass."""
         interferer = randn(Stream(92), (n,)).astype(dtype)
         xfade = int(CROSSFADE_S * rate)
-        expected = _loop_with_crossfade_reference(interferer, 1000, xfade)
-        got = fit_interferer(interferer, 1000, sample_rate_hz=rate)
+        expected = _loop_with_crossfade_reference(interferer, length, xfade)
+        got = fit_interferer(interferer, length, sample_rate_hz=rate)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_ten_second_loop_matches_every_pass(self, n):
+        """A 10 s target takes 160000 passes of a 1-sample interferer; the
+        repeated period must give the same bits as running them all."""
+        interferer = randn(Stream(93), (n,))
+        expected = _loop_with_crossfade_passes(interferer, 160000, int(CROSSFADE_S * 16000))
+        got = fit_interferer(interferer, 160000, sample_rate_hz=16000)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 

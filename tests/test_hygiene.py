@@ -3,8 +3,9 @@ imports is used in that module, every public function, class and method
 the package defines is referenced by code that runs it (the package, the
 tools or the benchmark, not the tests alone), and each name has one
 import path, the module that defines it: package ``__init__.py`` files
-import nothing.  Start-up loads only what every command needs:
-``scipy.signal`` waits for the first scene or STOI score."""
+import nothing.  Start-up loads only what every command needs, which is
+NumPy and no SciPy module: ``scipy.signal`` waits for the first scene
+or STOI score."""
 
 import ast
 import os
@@ -97,15 +98,16 @@ def test_loss_loads_no_stoi_wav_or_scipy_signal():
     assert loaded == []
 
 
-def test_cli_and_loop_load_no_scipy_signal():
+def test_cli_and_loop_load_no_scipy():
     """scipy.signal takes most of a second to import and only scene
-    synthesis and STOI call it, so they import it where they call it."""
-    _, loaded = loaded_in_fresh_interpreter("import avse.cli, avse.training.loop",
-                                            ("scipy.signal",))
+    synthesis and STOI call it, so they import it where they call it; the
+    mask head's logistic is NumPy's, so nothing else loads SciPy.  Every
+    SciPy module loads the ``scipy`` package first."""
+    _, loaded = loaded_in_fresh_interpreter("import avse.cli, avse.training.loop", ("scipy",))
     assert loaded == []
 
 
-def test_enhance_and_train_commands_load_no_scipy_signal(tmp_path):
+def test_enhance_train_info_mix_and_gradcheck_commands_load_no_scipy(tmp_path):
     config = tiny_config()
     model = tmp_path / "m.avck"
     save_checkpoint(model, Checkpoint(config, init_parameters(config, 0, dtype=np.float32)))
@@ -121,12 +123,17 @@ def test_enhance_and_train_commands_load_no_scipy_signal(tmp_path):
                     "--frames", tmp_path / "f.avst", "--out", tmp_path / "o.wav"],
         "train": ["train", "--data", tmp_path, "--config", tmp_path / "tiny.json",
                   "--epochs", "1", "--out", tmp_path / "trained.avck"],
+        "info": ["info", "--config", tmp_path / "tiny.json"],
+        "mix": ["mix", "--target", tmp_path / "t.wav", "--interferer", tmp_path / "i.wav",
+                "--snr", "0", "--out", tmp_path / "mix.wav"],
+        "gradcheck": ["gradcheck", "--seed", "0"],
     }
     for name, argv in commands.items():
         call = f"from avse import cli\nprint(cli.main({[str(a) for a in argv]!r}))"
-        printed, loaded = loaded_in_fresh_interpreter(call, ("scipy.signal",))
+        printed, loaded = loaded_in_fresh_interpreter(call, ("scipy",))
         assert (name, printed.splitlines()[-1], loaded) == (name, "0", [])
-    assert (tmp_path / "o.wav").is_file() and (tmp_path / "trained.avck").is_file()
+    outputs = ("o.wav", "trained.avck", "mix.wav")
+    assert all((tmp_path / name).is_file() for name in outputs)
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
