@@ -143,6 +143,14 @@ def _cmd_mix(args) -> int:
         raise DataError(f"sample rates differ: {rate_t} Hz vs {rate_i} Hz")
     mixture = mix_scene(target, interferer, args.snr, sample_rate_hz=rate_t)
     save_wav(args.out, mixture, rate_t)
+    magnitude = np.abs(mixture)
+    clipped = int(np.count_nonzero(magnitude > 1.0))
+    if clipped:
+        print(
+            f"warning: the mixture peaks at {magnitude.max():.3f}; {clipped} samples "
+            f"were clipped to full scale, so the written SNR differs from {args.snr} dB",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

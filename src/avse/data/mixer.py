@@ -4,7 +4,8 @@ The interferer is first fitted to the target's length: a shorter one is
 looped with a 10 ms linear crossfade at each seam, a longer one is
 trimmed starting at a seeded random offset.  The gain then follows from
 the mean-square powers over the full overlapped region, so the achieved
-SNR matches the request to float precision.
+SNR matches the request to float precision (a PCM16 file clamps samples
+beyond full scale, and ``avse mix`` warns when that changes it).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from avse.errors import ConfigError, DegenerateSignalError, ShapeError
+from avse.errors import ConfigError, DataError, DegenerateSignalError, ShapeError
 from avse.prng import Stream
 
 CROSSFADE_S = 0.010
@@ -99,6 +100,9 @@ def mix_scene(
         )
     if target.shape[0] < 1:
         raise ShapeError("target is empty")
+    for name, signal in (("target", target), ("interferer", interferer)):
+        if not np.isfinite(signal).all():
+            raise DataError(f"{name} contains non-finite samples")
     p_t = float((target * target).mean())
     if p_t <= 0.0:
         raise DegenerateSignalError("target has zero energy")

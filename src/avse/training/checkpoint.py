@@ -12,6 +12,10 @@ Binary layout, little-endian throughout:
     [optimizer]  uint64 step t; float64 lr, beta1, beta2, eps;
                  then 2 * count tensor records named "m.<name>" / "v.<name>"
 
+beta1, beta2 and eps are always written as the optimizer's constants
+``BETA1``, ``BETA2`` and ``EPS``; the full load refuses a file holding
+other values, which it could not save again byte for byte.
+
 Tensor records are written in sorted-name order, so load followed by
 save reproduces the file byte for byte.  Loading reads the open file
 field by field with the field and array readers of ``data.tensorfile``,
@@ -37,7 +41,7 @@ from avse.errors import ConfigError, CorruptCheckpointError
 from avse.data.tensorfile import open_source, read_block, read_fields, tensor_block
 from avse.model.config import ModelConfig
 from avse.model.params import ModelParams, check_tensors, parameter_shapes
-from avse.training.optimizer import OptimizerState
+from avse.training.optimizer import BETA1, BETA2, EPS, OptimizerState
 
 MAGIC = b"AVCK"
 VERSION = 1
@@ -90,7 +94,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     blob += _named_blocks(ckpt.params)
     if ckpt.optimizer is not None:
         opt = ckpt.optimizer
-        blob += struct.pack("<Qdddd", opt.t, opt.lr, opt.beta1, opt.beta2, opt.eps)
+        blob += struct.pack("<Qdddd", opt.t, opt.lr, BETA1, BETA2, EPS)
         moments = {f"m.{k}": v for k, v in opt.m.items()}
         moments.update({f"v.{k}": v for k, v in opt.v.items()})
         blob += _named_blocks(moments)
@@ -126,11 +130,14 @@ def load_checkpoint(path, *, moments: bool = True) -> Checkpoint:
             fh.seek(0, io.SEEK_END)  # open_source refuses bytes left unread
         elif flags & _FLAG_OPTIMIZER:
             header = read_fields(fh, "<Qdddd", label, "optimizer header", CorruptCheckpointError)
-            t, lr, beta1, beta2, eps = header
+            t, lr, *adam = header
+            for field, value, fixed in zip(("beta1", "beta2", "eps"), adam, (BETA1, BETA2, EPS)):
+                if value != fixed:
+                    raise CorruptCheckpointError(f"{label}: {field} {value!r} is not {fixed!r}")
             stored = _read_named_blocks(fh, 2 * count, label)
             shapes = {f"{k}.{name}": s for k in "mv" for name, s in expected.items()}
             check_tensors(stored, shapes, f"{label}: optimizer moments", CorruptCheckpointError)
             m = {name: stored[f"m.{name}"] for name in expected}
             v = {name: stored[f"v.{name}"] for name in expected}
-            optimizer = OptimizerState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            optimizer = OptimizerState(m=m, v=v, t=t, lr=lr)
     return Checkpoint(config=config, params=params, optimizer=optimizer)

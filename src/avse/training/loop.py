@@ -34,7 +34,7 @@ from avse.model.params import init_parameters
 from avse.prng import Stream
 from avse.training.checkpoint import Checkpoint
 from avse.training.loss import si_sdr_loss_vjp
-from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
+from avse.training.optimizer import DEFAULT_LR, adam_step, clip_global_norm, init_optimizer
 
 MAX_GRAD_NORM = 5.0
 
@@ -69,9 +69,17 @@ def train_scenes(
     scenes: list[Scene],
     epochs: int,
     seed: int,
-    lr: float = 1e-3,
+    lr: float = DEFAULT_LR,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Train on in-memory scenes; returns (checkpoint, per-epoch log records)."""
+    """Train on in-memory scenes; returns (checkpoint, per-epoch log records).
+
+    Every scene is checked against ``config`` before the first step: its
+    sample rate, its frames (``check_frames``) and its length, each error
+    naming the scene.  Scenes from a manifest were already checked by
+    ``load_scene``, whose errors also name the file; the second check
+    costs one pass over the frames, and a scene built in memory gets the
+    same refusals.
+    """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not scenes:
@@ -80,6 +88,12 @@ def train_scenes(
     mix_stream = root.spawn(_SUB_MIX)
     prepared = []
     for scene in scenes:
+        if scene.sample_rate_hz != config.sample_rate_hz:
+            raise DataError(
+                f"scene {scene.id}: sample rate {scene.sample_rate_hz} Hz does not match "
+                f"the configured {config.sample_rate_hz} Hz"
+            )
+        config.check_frames(scene.frames, f"scene {scene.id}")
         if scene.target.shape[0] < config.enc_kernel:
             raise DataError(
                 f"scene {scene.id}: target length {scene.target.shape[0]} is shorter "

@@ -1,4 +1,8 @@
-"""Adam with bias correction."""
+"""Adam with bias correction at Kingma & Ba's published β1, β2 and ε.
+
+Those three are constants, not run state: a checkpoint stores them only
+to keep its header layout, and refuses a file whose values differ.
+"""
 
 from __future__ import annotations
 
@@ -8,24 +12,25 @@ import numpy as np
 
 from avse.model.params import ModelParams, check_tensors
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+DEFAULT_LR = 1e-3
+
 
 @dataclass
 class OptimizerState:
-    """First/second moments per parameter plus the step counter."""
+    """First/second moments per parameter, the step count and the rate."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    t: int
+    lr: float
 
 
-def init_optimizer(params: ModelParams, lr: float = 1e-3) -> OptimizerState:
+def init_optimizer(params: ModelParams, lr: float = DEFAULT_LR) -> OptimizerState:
     return OptimizerState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
+        t=0,
         lr=lr,
     )
 
@@ -37,18 +42,17 @@ def adam_step(params: ModelParams, grads: ModelParams, state: OptimizerState) ->
     check_tensors(state.m, shapes, "first moments")
     check_tensors(state.v, shapes, "second moments")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_global_norm(grads: ModelParams, max_norm: float) -> float:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from avse import cli
+from avse.data.mixer import mix_scene
 from avse.data.synth import synth_scene
 from avse.data.tensorfile import read_tensor, write_tensor
 from avse.data.wavio import load_wav, save_wav
@@ -214,6 +215,36 @@ class TestMix:
         clean, rate_t = load_wav(target)
         assert rate == rate_t
         assert len(mixture) == len(clean)
+
+    @pytest.mark.parametrize("snr", [-30.0, 5.0])
+    def test_warns_when_the_mixture_clips(self, tmp_path, capsys, snr):
+        """PCM16 clamps to full scale, so a mixture that peaks above it is
+        written at another SNR: -30 dB warns with the peak and the number
+        of clipped samples, +5 dB prints nothing.  The bytes written are
+        the clamped mixture either way, and the exit code is 0."""
+        _run(["synth", "--out", str(tmp_path), "--scenes", "1", "--seed", "0", "--duration", "0.5"])
+        target = next(tmp_path.glob("*_target.wav"))
+        interferer = next(tmp_path.glob("*_interferer.wav"))
+        capsys.readouterr()
+        out = tmp_path / "mix.wav"
+        code, _ = _run(["mix", "--target", str(target), "--interferer", str(interferer),
+                        "--snr", str(snr), "--out", str(out)])
+        assert code == 0
+        (clean, rate), (noise, _) = load_wav(target), load_wav(interferer)
+        mixture = mix_scene(clean, noise, snr, sample_rate_hz=rate)
+        save_wav(tmp_path / "expected.wav", mixture, rate)
+        assert out.read_bytes() == (tmp_path / "expected.wav").read_bytes()
+        err = capsys.readouterr().err
+        magnitude = np.abs(mixture)
+        clipped = int(np.count_nonzero(magnitude > 1.0))
+        if snr < 0:
+            assert clipped > 0
+            assert err == (
+                f"warning: the mixture peaks at {magnitude.max():.3f}; {clipped} samples "
+                f"were clipped to full scale, so the written SNR differs from {snr} dB\n"
+            )
+        else:
+            assert clipped == 0 and err == ""
 
     def test_sample_rate_mismatch_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a.wav"

@@ -451,6 +451,17 @@ class TestMixScene:
         with pytest.raises(DegenerateSignalError):
             mix_scene(target, np.zeros(100), 0.0, sample_rate_hz=16000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("signal", ["target", "interferer"])
+    def test_non_finite_sample_refused_naming_the_signal(self, signal, bad):
+        """A NaN or infinite sample used to reach the gain and be reported
+        as an out-of-range SNR; it is a data error about that signal."""
+        signals = {"target": randn(Stream(94), (100,)), "interferer": randn(Stream(95), (100,))}
+        signals[signal][37] = bad
+        with pytest.raises(DataError, match=f"^{signal} contains non-finite samples") as info:
+            mix_scene(signals["target"], signals["interferer"], 0.0, sample_rate_hz=16000)
+        assert "snr_db" not in str(info.value)
+
 
 class TestSynthScene:
     def test_deterministic_per_seed(self):

@@ -1,6 +1,8 @@
 """Training-harness contracts: loss gradient, optimizer algebra,
 checkpoint bytes, and the loop's determinism and failure modes."""
 
+import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -25,7 +27,15 @@ from avse.training.checkpoint import Checkpoint, load_checkpoint, save_checkpoin
 from avse.training.loss import si_sdr_loss_vjp
 from avse.training import loop
 from avse.training.loop import MAX_GRAD_NORM, train_scenes
-from avse.training.optimizer import adam_step, clip_global_norm, init_optimizer
+from avse.training.optimizer import (
+    BETA1,
+    BETA2,
+    EPS,
+    OptimizerState,
+    adam_step,
+    clip_global_norm,
+    init_optimizer,
+)
 
 from helpers import (
     fd_grad,
@@ -107,6 +117,10 @@ class TestAdamStep:
             adam_step(params, zero, state)
         for name in params:
             assert np.abs(state.m[name]).max() < m_after_one[name]
+
+    def test_state_holds_only_run_state(self):
+        """β1, β2 and ε are the module's constants, not per-state fields."""
+        assert [f.name for f in dataclasses.fields(OptimizerState)] == ["m", "v", "t", "lr"]
 
     def test_first_step_with_unit_gradient(self):
         """Bias correction makes step one move by -lr/(1+eps) exactly."""
@@ -293,6 +307,30 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert load_checkpoint(path, moments=False).params.keys() == ckpt.params.keys()
 
+    @pytest.mark.parametrize("slot, field, fixed", [(2, "beta1", BETA1), (3, "beta2", BETA2),
+                                                   (4, "eps", EPS)])
+    def test_other_adam_setting_refused_by_the_full_load(self, tmp_path, slot, field, fixed):
+        """The header stores β1, β2 and ε as the optimizer's constants; a
+        file holding another value could not be saved again byte for
+        byte, so the full load refuses it, naming the field and both
+        values.  The parameters-only load never reads that header."""
+        ckpt = self._checkpoint(with_optimizer=True)
+        path = tmp_path / "a.avck"
+        save_checkpoint(path, Checkpoint(ckpt.config, ckpt.params))
+        at = len(path.read_bytes())  # the parameters end where the optimizer header starts
+        save_checkpoint(path, ckpt)
+        raw = bytearray(path.read_bytes())
+        header = list(struct.unpack_from("<Qdddd", raw, at))
+        assert header[2:] == [BETA1, BETA2, EPS]
+        header[slot] = 2.0 * fixed
+        struct.pack_into("<Qdddd", raw, at, *header)
+        path.write_bytes(bytes(raw))
+        message = f"a.avck: {field} {2.0 * fixed!r} is not {fixed!r}"
+        with pytest.raises(CorruptCheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+        params_only = load_checkpoint(path, moments=False)
+        assert all(np.array_equal(params_only.params[n], ckpt.params[n]) for n in ckpt.params)
+
     def test_bad_magic_rejected(self, tmp_path):
         ckpt = self._checkpoint(with_optimizer=False)
         path = tmp_path / "bad.avck"
@@ -398,6 +436,30 @@ class TestTrainScenes:
         config = tiny_config()
         _, logs = train_scenes(config, self._scenes(), 12, seed=0)
         assert logs[-1]["mean_loss"] < logs[0]["mean_loss"]
+
+    @pytest.mark.parametrize("fault", ["frame_size", "sample_rate", "nan_frames"])
+    def test_scene_the_config_cannot_mean_refused_before_any_step(self, monkeypatch, fault):
+        """Scenes passed in directly get the checks ``load_scene`` makes on
+        files: frames of another size (a default-config scene under the
+        tiny config), another sample rate, and non-finite frames are data
+        errors naming the scene, raised before the first forward pass."""
+        good = synth_scene(0, 0.5, tiny_config())
+        bad = synth_scene(1, 0.5, tiny_config())
+        if fault == "frame_size":
+            bad = synth_scene(1, 0.5, default_config())
+            match = "frames are 32x32, the model expects 16x16"
+        elif fault == "sample_rate":
+            bad, match = dataclasses.replace(bad, sample_rate_hz=8000), "sample rate 8000 Hz"
+        else:
+            bad.frames[1, 0, 3, 4] = np.nan
+            match = "frames contain non-finite pixels"
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(loop, "enhance_fwd", no_step)
+        with pytest.raises(DataError, match=f"scene {bad.id}.*{match}"):
+            train_scenes(tiny_config(), [good, bad], 1, seed=0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
